@@ -2,9 +2,11 @@ package dist
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"armus/internal/deps"
+	"armus/internal/wire"
 )
 
 // The snapshot wire format is a hand-rolled varint encoding rather than
@@ -12,7 +14,12 @@ import (
 // should be compact, allocation-light, and — because a snapshot may be read
 // back by a site running a different build, or after the store returned a
 // torn/corrupt value — every length must be validated before it is
-// allocated. Layout:
+// allocated. Both are the codec kernel's job (internal/wire): its bounded
+// cursor reads every field, and each entry is the kernel's one blocked
+// status encoding, byte for byte what a trace block event carries. The
+// same codec also persists fleet session snapshots (internal/server), so
+// what a site publishes and what a session persists cannot diverge.
+// Layout:
 //
 // The siteID and seq header fields are diagnostic metadata: seq counts the
 // publisher's rounds so an operator inspecting the store can tell a live
@@ -24,10 +31,7 @@ import (
 //	uvarint siteID
 //	uvarint seq
 //	uvarint len(snap)
-//	per Blocked:
-//	    varint  Task
-//	    uvarint len(WaitsFor)  then per Resource: varint Phaser, varint Phase
-//	    uvarint len(Regs)      then per Reg:      varint Phaser, varint Phase
+//	per Blocked: status (see internal/wire)
 //
 // Signed fields use zig-zag varints so distributed ID bases near the top of
 // the int64 range still encode compactly enough and negatives round-trip.
@@ -37,28 +41,6 @@ import (
 // each other's snapshots.
 const snapshotMagic = "ARMUSD1"
 
-// maxSnapshotItems bounds every decoded length so a corrupt or hostile
-// payload cannot make the checker allocate unbounded memory (mirroring the
-// store's own maxBulk guard).
-const maxSnapshotItems = 1 << 20
-
-// appendBlocked serialises one blocked status (shared by the snapshot and
-// delta encoders).
-func appendBlocked(buf []byte, b *deps.Blocked) []byte {
-	buf = binary.AppendVarint(buf, int64(b.Task))
-	buf = binary.AppendUvarint(buf, uint64(len(b.WaitsFor)))
-	for _, r := range b.WaitsFor {
-		buf = binary.AppendVarint(buf, int64(r.Phaser))
-		buf = binary.AppendVarint(buf, r.Phase)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(b.Regs)))
-	for _, reg := range b.Regs {
-		buf = binary.AppendVarint(buf, int64(reg.Phaser))
-		buf = binary.AppendVarint(buf, reg.Phase)
-	}
-	return buf
-}
-
 // appendSnapshot serialises one site's blocked statuses into buf.
 func appendSnapshot(buf []byte, siteID int, seq uint64, snap []deps.Blocked) []byte {
 	buf = append(buf, snapshotMagic...)
@@ -66,145 +48,65 @@ func appendSnapshot(buf []byte, siteID int, seq uint64, snap []deps.Blocked) []b
 	buf = binary.AppendUvarint(buf, seq)
 	buf = binary.AppendUvarint(buf, uint64(len(snap)))
 	for i := range snap {
-		buf = appendBlocked(buf, &snap[i])
+		buf = wire.AppendBlocked(buf, &snap[i])
 	}
 	return buf
 }
 
-// encodeSnapshot serialises one site's blocked statuses.
-func encodeSnapshot(siteID int, seq uint64, snap []deps.Blocked) []byte {
+// EncodeSnapshot encodes a full blocked-status snapshot (ARMUSD1). snap
+// must be sorted by Task (deps.State.SnapshotInto output is).
+func EncodeSnapshot(siteID int, seq uint64, snap []deps.Blocked) []byte {
 	return appendSnapshot(make([]byte, 0, len(snapshotMagic)+16+32*len(snap)), siteID, seq, snap)
 }
 
-// snapshotDecoder is a cursor over an encoded snapshot.
-type snapshotDecoder struct {
-	buf []byte
+// header opens a cursor on payload past magic and reads the siteID field.
+func header(payload []byte, magic string) (wire.Cursor, int) {
+	if len(payload) < len(magic) || string(payload[:len(magic)]) != magic {
+		c := wire.Cursor{}
+		c.Fail(errBadMagic)
+		return c, 0
+	}
+	c := wire.NewCursor(payload[len(magic):])
+	return c, int(c.Uvarint())
 }
 
-func (d *snapshotDecoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("dist: truncated snapshot")
+var errBadMagic = errors.New("bad magic")
+
+// blockedList decodes a count-prefixed list of blocked statuses, each
+// strictly above the previous by Task when ascending is set.
+func blockedList(c *wire.Cursor, ascending bool) []deps.Blocked {
+	n := c.Count(wire.MaxCount)
+	out := make([]deps.Blocked, n)
+	for i := range out {
+		wire.BlockedInto(c, &out[i])
+		if ascending && i > 0 && out[i].Task <= out[i-1].Task {
+			c.Fail(errNotAscending)
+		}
 	}
-	d.buf = d.buf[n:]
-	return v, nil
+	return out
 }
 
-func (d *snapshotDecoder) varint() (int64, error) {
-	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("dist: truncated snapshot")
-	}
-	d.buf = d.buf[n:]
-	return v, nil
-}
+var errNotAscending = errors.New("entries not ascending")
 
-func (d *snapshotDecoder) length() (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
+// DecodeSnapshot parses an ARMUSD1 payload. Any malformation is an error:
+// the caller drops the snapshot (counting it) so one corrupt entry can
+// never wedge a global check.
+func DecodeSnapshot(payload []byte) (siteID int, seq uint64, snap []deps.Blocked, err error) {
+	c, siteID := header(payload, snapshotMagic)
+	seq = c.Uvarint()
+	snap = blockedList(&c, false)
+	if err := c.End(); err != nil {
+		return 0, 0, nil, fmt.Errorf("dist: snapshot: %w", err)
 	}
-	// Every encoded item costs at least one byte, so a count larger than
-	// the remaining payload is corrupt — reject it BEFORE allocating, or a
-	// 15-byte payload claiming 2^20 items would cost tens of MB per check.
-	if v > maxSnapshotItems || v > uint64(len(d.buf)) {
-		return 0, fmt.Errorf("dist: snapshot length %d exceeds limit", v)
-	}
-	return int(v), nil
-}
-
-// blocked decodes one blocked status (shared by the snapshot and delta
-// decoders).
-func (d *snapshotDecoder) blocked() (deps.Blocked, error) {
-	var b deps.Blocked
-	t, err := d.varint()
-	if err != nil {
-		return b, err
-	}
-	b.Task = deps.TaskID(t)
-	nw, err := d.length()
-	if err != nil {
-		return b, err
-	}
-	b.WaitsFor = make([]deps.Resource, 0, nw)
-	for j := 0; j < nw; j++ {
-		q, err := d.varint()
-		if err != nil {
-			return b, err
-		}
-		ph, err := d.varint()
-		if err != nil {
-			return b, err
-		}
-		b.WaitsFor = append(b.WaitsFor, deps.Resource{Phaser: deps.PhaserID(q), Phase: ph})
-	}
-	nr, err := d.length()
-	if err != nil {
-		return b, err
-	}
-	b.Regs = make([]deps.Reg, 0, nr)
-	for j := 0; j < nr; j++ {
-		q, err := d.varint()
-		if err != nil {
-			return b, err
-		}
-		ph, err := d.varint()
-		if err != nil {
-			return b, err
-		}
-		b.Regs = append(b.Regs, deps.Reg{Phaser: deps.PhaserID(q), Phase: ph})
-	}
-	return b, nil
-}
-
-// decodeSnapshot parses a payload produced by encodeSnapshot. Any
-// malformation is an error: the caller drops the snapshot (counting it) so
-// one corrupt entry can never wedge a global check.
-func decodeSnapshot(payload []byte) (siteID int, seq uint64, snap []deps.Blocked, err error) {
-	if len(payload) < len(snapshotMagic) || string(payload[:len(snapshotMagic)]) != snapshotMagic {
-		return 0, 0, nil, fmt.Errorf("dist: bad snapshot magic")
-	}
-	d := &snapshotDecoder{buf: payload[len(snapshotMagic):]}
-	id, err := d.uvarint()
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	if seq, err = d.uvarint(); err != nil {
-		return 0, 0, nil, err
-	}
-	n, err := d.length()
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	snap = make([]deps.Blocked, 0, n)
-	for i := 0; i < n; i++ {
-		b, err := d.blocked()
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		snap = append(snap, b)
-	}
-	if len(d.buf) != 0 {
-		return 0, 0, nil, fmt.Errorf("dist: %d trailing bytes after snapshot", len(d.buf))
-	}
-	return int(id), seq, snap, nil
+	return siteID, seq, snap, nil
 }
 
 // peekSnapshotSeq reads a snapshot header without decoding the body, so an
 // unchanged peer (same seq as the cached view) costs no allocation.
-func peekSnapshotSeq(payload []byte) (siteID int, seq uint64, err error) {
-	if len(payload) < len(snapshotMagic) || string(payload[:len(snapshotMagic)]) != snapshotMagic {
-		return 0, 0, fmt.Errorf("dist: bad snapshot magic")
-	}
-	d := &snapshotDecoder{buf: payload[len(snapshotMagic):]}
-	id, err := d.uvarint()
-	if err != nil {
-		return 0, 0, err
-	}
-	if seq, err = d.uvarint(); err != nil {
-		return 0, 0, err
-	}
-	return int(id), seq, nil
+func peekSnapshotSeq(payload []byte) (seq uint64, err error) {
+	c, _ := header(payload, snapshotMagic)
+	seq = c.Uvarint()
+	return seq, c.Err()
 }
 
 // --- delta format -----------------------------------------------------
@@ -234,98 +136,59 @@ func appendDelta(buf []byte, siteID int, baseSeq, seq uint64, removed []deps.Tas
 	buf = binary.AppendUvarint(buf, uint64(siteID))
 	buf = binary.AppendUvarint(buf, baseSeq)
 	buf = binary.AppendUvarint(buf, seq)
-	buf = binary.AppendUvarint(buf, uint64(len(removed)))
-	for _, t := range removed {
-		buf = binary.AppendVarint(buf, int64(t))
-	}
+	buf = wire.AppendTasks(buf, removed)
 	buf = binary.AppendUvarint(buf, uint64(len(upserts)))
 	for i := range upserts {
-		buf = appendBlocked(buf, &upserts[i])
+		buf = wire.AppendBlocked(buf, &upserts[i])
 	}
 	return buf
 }
 
-// encodeDelta serialises a cumulative delta into a fresh buffer.
-func encodeDelta(siteID int, baseSeq, seq uint64, removed []deps.TaskID, upserts []deps.Blocked) []byte {
+// EncodeDelta encodes a cumulative delta against the base snapshot with
+// sequence baseSeq (ARMUSI1): removed tasks (strictly ascending) and
+// upserted statuses (sorted by Task).
+func EncodeDelta(siteID int, baseSeq, seq uint64, removed []deps.TaskID, upserts []deps.Blocked) []byte {
 	buf := make([]byte, 0, len(deltaMagic)+24+8*len(removed)+32*len(upserts))
 	return appendDelta(buf, siteID, baseSeq, seq, removed, upserts)
 }
 
-// decodeDelta parses a payload produced by encodeDelta, enforcing the
-// ordering invariants (strictly ascending removed tasks and upserts, seq
-// beyond baseSeq) so applyDelta stays a simple sorted merge. Any
-// malformation is an error: the caller falls back to the base snapshot.
-func decodeDelta(payload []byte) (siteID int, baseSeq, seq uint64, removed []deps.TaskID, upserts []deps.Blocked, err error) {
-	if len(payload) < len(deltaMagic) || string(payload[:len(deltaMagic)]) != deltaMagic {
-		return 0, 0, 0, nil, nil, fmt.Errorf("dist: bad delta magic")
-	}
-	d := &snapshotDecoder{buf: payload[len(deltaMagic):]}
-	id, err := d.uvarint()
-	if err != nil {
-		return 0, 0, 0, nil, nil, err
-	}
-	if baseSeq, err = d.uvarint(); err != nil {
-		return 0, 0, 0, nil, nil, err
-	}
-	if seq, err = d.uvarint(); err != nil {
-		return 0, 0, 0, nil, nil, err
-	}
-	if seq <= baseSeq {
-		return 0, 0, 0, nil, nil, fmt.Errorf("dist: delta seq %d not beyond base %d", seq, baseSeq)
-	}
-	nr, err := d.length()
-	if err != nil {
-		return 0, 0, 0, nil, nil, err
-	}
-	removed = make([]deps.TaskID, 0, nr)
-	for i := 0; i < nr; i++ {
-		t, err := d.varint()
-		if err != nil {
-			return 0, 0, 0, nil, nil, err
+// DecodeDelta parses an ARMUSI1 payload, enforcing the ordering invariants
+// (strictly ascending removed tasks and upserts, seq beyond baseSeq) so
+// ApplyDelta stays a simple sorted merge. Any malformation is an error:
+// the caller falls back to the base snapshot.
+func DecodeDelta(payload []byte) (siteID int, baseSeq, seq uint64, removed []deps.TaskID, upserts []deps.Blocked, err error) {
+	c, siteID, baseSeq, seq := deltaHeader(payload)
+	removed = wire.TasksInto(&c, nil)
+	for i := 1; i < len(removed); i++ {
+		if removed[i] <= removed[i-1] {
+			c.Fail(errNotAscending)
 		}
-		if i > 0 && deps.TaskID(t) <= removed[i-1] {
-			return 0, 0, 0, nil, nil, fmt.Errorf("dist: delta removed tasks not ascending")
-		}
-		removed = append(removed, deps.TaskID(t))
 	}
-	nu, err := d.length()
-	if err != nil {
-		return 0, 0, 0, nil, nil, err
+	upserts = blockedList(&c, true)
+	if err := c.End(); err != nil {
+		return 0, 0, 0, nil, nil, fmt.Errorf("dist: delta: %w", err)
 	}
-	upserts = make([]deps.Blocked, 0, nu)
-	for i := 0; i < nu; i++ {
-		b, err := d.blocked()
-		if err != nil {
-			return 0, 0, 0, nil, nil, err
-		}
-		if i > 0 && b.Task <= upserts[i-1].Task {
-			return 0, 0, 0, nil, nil, fmt.Errorf("dist: delta upserts not ascending")
-		}
-		upserts = append(upserts, b)
-	}
-	if len(d.buf) != 0 {
-		return 0, 0, 0, nil, nil, fmt.Errorf("dist: %d trailing bytes after delta", len(d.buf))
-	}
-	return int(id), baseSeq, seq, removed, upserts, nil
+	return siteID, baseSeq, seq, removed, upserts, nil
 }
 
+// deltaHeader opens a cursor on a delta payload and reads its header,
+// failing the cursor when seq does not advance past baseSeq.
+func deltaHeader(payload []byte) (c wire.Cursor, siteID int, baseSeq, seq uint64) {
+	c, siteID = header(payload, deltaMagic)
+	baseSeq = c.Uvarint()
+	seq = c.Uvarint()
+	if seq <= baseSeq {
+		c.Fail(errSeqNotAdvancing)
+	}
+	return c, siteID, baseSeq, seq
+}
+
+var errSeqNotAdvancing = errors.New("seq not beyond base")
+
 // peekDeltaSeqs reads a delta header without decoding the body.
-func peekDeltaSeqs(payload []byte) (siteID int, baseSeq, seq uint64, err error) {
-	if len(payload) < len(deltaMagic) || string(payload[:len(deltaMagic)]) != deltaMagic {
-		return 0, 0, 0, fmt.Errorf("dist: bad delta magic")
-	}
-	d := &snapshotDecoder{buf: payload[len(deltaMagic):]}
-	id, err := d.uvarint()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if baseSeq, err = d.uvarint(); err != nil {
-		return 0, 0, 0, err
-	}
-	if seq, err = d.uvarint(); err != nil {
-		return 0, 0, 0, err
-	}
-	return int(id), baseSeq, seq, nil
+func peekDeltaSeqs(payload []byte) (baseSeq, seq uint64, err error) {
+	c, _, baseSeq, seq := deltaHeader(payload)
+	return baseSeq, seq, c.Err()
 }
 
 // blockedEqual reports whether two blocked statuses are identical.
@@ -346,11 +209,11 @@ func blockedEqual(a, b *deps.Blocked) bool {
 	return true
 }
 
-// diffSnapshots computes the cumulative delta turning base into cur. Both
+// DiffSnapshots computes the cumulative delta turning base into cur. Both
 // inputs must be sorted ascending by Task (deps.State.SnapshotInto and the
 // decoder both guarantee it). Results are appended into the caller's
 // reusable removed/upserts slices; upsert entries alias cur.
-func diffSnapshots(base, cur []deps.Blocked, removed []deps.TaskID, upserts []deps.Blocked) ([]deps.TaskID, []deps.Blocked) {
+func DiffSnapshots(base, cur []deps.Blocked, removed []deps.TaskID, upserts []deps.Blocked) ([]deps.TaskID, []deps.Blocked) {
 	i, j := 0, 0
 	for i < len(base) || j < len(cur) {
 		switch {
@@ -371,12 +234,12 @@ func diffSnapshots(base, cur []deps.Blocked, removed []deps.TaskID, upserts []de
 	return removed, upserts
 }
 
-// applyDelta merges a decoded delta into a base view, appending the result
+// ApplyDelta merges a decoded delta into a base view, appending the result
 // (sorted by Task) into dst. Entries alias base and upserts; callers must
 // treat the output as read-only. Removed tasks absent from the base are
 // ignored — the delta is cumulative, so re-applying after a base refresh
 // is harmless.
-func applyDelta(dst, base []deps.Blocked, removed []deps.TaskID, upserts []deps.Blocked) []deps.Blocked {
+func ApplyDelta(dst, base []deps.Blocked, removed []deps.TaskID, upserts []deps.Blocked) []deps.Blocked {
 	i, j, k := 0, 0, 0 // base, removed, upserts cursors
 	for i < len(base) || k < len(upserts) {
 		if k < len(upserts) && (i >= len(base) || upserts[k].Task <= base[i].Task) {

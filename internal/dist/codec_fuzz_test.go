@@ -38,9 +38,9 @@ func FuzzSnapshotCodec(f *testing.F) {
 		}, {Task: -1}},
 	}
 	for i, snap := range seeds {
-		f.Add(encodeSnapshot(i, uint64(i)*99, snap))
+		f.Add(EncodeSnapshot(i, uint64(i)*99, snap))
 	}
-	good := encodeSnapshot(1, 1, seeds[2])
+	good := EncodeSnapshot(1, 1, seeds[2])
 	f.Add(good[:len(good)-3])                   // truncated
 	f.Add(append(append([]byte{}, good...), 0)) // trailing byte
 	f.Add([]byte(snapshotMagic))                // header only
@@ -48,12 +48,12 @@ func FuzzSnapshotCodec(f *testing.F) {
 	f.Add(append([]byte(snapshotMagic), 1, 1, 0xff, 0xff, 0xff, 0xff, 0x7f)) // huge length
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		id, seq, snap, err := decodeSnapshot(data)
+		id, seq, snap, err := DecodeSnapshot(data)
 		if err != nil {
 			return // rejected: that is a fine outcome for arbitrary bytes
 		}
-		re := encodeSnapshot(id, seq, snap)
-		id2, seq2, snap2, err := decodeSnapshot(re)
+		re := EncodeSnapshot(id, seq, snap)
+		id2, seq2, snap2, err := DecodeSnapshot(re)
 		if err != nil {
 			t.Fatalf("re-encoded payload rejected: %v", err)
 		}
@@ -74,7 +74,7 @@ func FuzzSnapshotCodec(f *testing.F) {
 // FuzzDeltaCodec is FuzzSnapshotCodec for the cumulative-delta payloads:
 // arbitrary bytes either decode to a delta that re-encodes to the same
 // delta (encode∘decode fixpoint), or are rejected with an error — never a
-// panic. Whatever decodes must also survive applyDelta against an
+// panic. Whatever decodes must also survive ApplyDelta against an
 // arbitrary base slice carved from the same input, since ingest applies
 // any delta whose header matches the cached base.
 func FuzzDeltaCodec(f *testing.F) {
@@ -86,26 +86,26 @@ func FuzzDeltaCodec(f *testing.F) {
 			Regs:     []deps.Reg{{Phaser: 2<<SiteIDShift + 1, Phase: 3}},
 		},
 	}
-	f.Add(encodeDelta(1, 1, 2, nil, nil))
-	f.Add(encodeDelta(2, 3, 9, []deps.TaskID{1, base[1].Task}, nil))
-	f.Add(encodeDelta(3, 1, 2, []deps.TaskID{-4, 7}, base))
-	good := encodeDelta(2, 3, 9, []deps.TaskID{1}, base)
+	f.Add(EncodeDelta(1, 1, 2, nil, nil))
+	f.Add(EncodeDelta(2, 3, 9, []deps.TaskID{1, base[1].Task}, nil))
+	f.Add(EncodeDelta(3, 1, 2, []deps.TaskID{-4, 7}, base))
+	good := EncodeDelta(2, 3, 9, []deps.TaskID{1}, base)
 	f.Add(good[:len(good)-2])                   // truncated
 	f.Add(append(append([]byte{}, good...), 1)) // trailing byte
 	f.Add([]byte(deltaMagic))                   // header only
-	f.Add(encodeSnapshot(1, 1, base))           // wrong magic (a full snapshot)
+	f.Add(EncodeSnapshot(1, 1, base))           // wrong magic (a full snapshot)
 	f.Add(append([]byte(deltaMagic), 1, 5, 2))  // seq <= baseSeq
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		id, baseSeq, seq, removed, upserts, err := decodeDelta(data)
+		id, baseSeq, seq, removed, upserts, err := DecodeDelta(data)
 		if err != nil {
 			return
 		}
 		if seq <= baseSeq {
 			t.Fatalf("decoded delta with seq %d <= baseSeq %d", seq, baseSeq)
 		}
-		re := encodeDelta(id, baseSeq, seq, removed, upserts)
-		id2, baseSeq2, seq2, removed2, upserts2, err := decodeDelta(re)
+		re := EncodeDelta(id, baseSeq, seq, removed, upserts)
+		id2, baseSeq2, seq2, removed2, upserts2, err := DecodeDelta(re)
 		if err != nil {
 			t.Fatalf("re-encoded delta rejected: %v", err)
 		}
@@ -124,7 +124,7 @@ func FuzzDeltaCodec(f *testing.F) {
 		}
 		// Applying a decoded delta must never panic, and the result must
 		// respect the removals and carry every upsert.
-		out := applyDelta(nil, base, removed, upserts)
+		out := ApplyDelta(nil, base, removed, upserts)
 		for i := range out {
 			for _, r := range removed {
 				isUpsert := false
@@ -134,7 +134,7 @@ func FuzzDeltaCodec(f *testing.F) {
 					}
 				}
 				if out[i].Task == r && !isUpsert {
-					t.Fatalf("removed task %d survived applyDelta", r)
+					t.Fatalf("removed task %d survived ApplyDelta", r)
 				}
 			}
 		}

@@ -173,11 +173,11 @@ func TestStoreRestartMidDeltaChain(t *testing.T) {
 	}
 	c := store.Dial(addr)
 	defer c.Close()
-	payload, err := c.HGet(keyPrefix+"1", "base")
-	if err != nil {
+	fields, err := c.HGetAll(keyPrefix + "1")
+	if err != nil || fields["base"] == nil {
 		t.Fatalf("base field not republished: %v", err)
 	}
-	_, _, snap, err := decodeSnapshot(payload)
+	_, _, snap, err := DecodeSnapshot(fields["base"])
 	if err != nil || len(snap) != 2 {
 		t.Fatalf("republished base = %d statuses, err %v; want the 2 live ones", len(snap), err)
 	}
@@ -193,7 +193,7 @@ func TestCorruptDeltaFallsBackToBase(t *testing.T) {
 	defer c.Close()
 
 	// A dead site 90 left a valid base holding half a ring...
-	base := encodeSnapshot(90, 1, []deps.Blocked{blockedOn(90, 1, 92)})
+	base := EncodeSnapshot(90, 1, []deps.Blocked{blockedOn(90, 1, 92)})
 	if err := c.HSet(keyPrefix+"90", "base", base); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestCorruptDeltaFallsBackToBase(t *testing.T) {
 
 	// The base view is really in use: site 92's stale half closes the ring
 	// published only in 90's base.
-	if err := c.Set(keyPrefix+"92", encodeSnapshot(92, 1, []deps.Blocked{blockedOn(92, 1, 90)})); err != nil {
+	if err := c.HSet(keyPrefix+"92", "base", EncodeSnapshot(92, 1, []deps.Blocked{blockedOn(92, 1, 90)})); err != nil {
 		t.Fatal(err)
 	}
 	rep, err = s.CheckOnce()
@@ -227,7 +227,7 @@ func TestCorruptDeltaFallsBackToBase(t *testing.T) {
 
 	// A structurally valid delta against a different base (bseq mismatch)
 	// also falls back rather than applying out of order.
-	stale := encodeDelta(90, 7, 8, nil, []deps.Blocked{blockedOn(90, 5, 90)})
+	stale := EncodeDelta(90, 7, 8, nil, []deps.Blocked{blockedOn(90, 5, 90)})
 	if err := c.HSet(keyPrefix+"90", "delta", stale); err != nil {
 		t.Fatal(err)
 	}

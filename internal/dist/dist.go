@@ -413,15 +413,15 @@ func (s *Site) queuePublishLocked(p *store.Pipeline) pubPlan {
 	seq := s.pubSeq + 1
 	full := !s.havePub || s.forceFull || s.sinceFull >= s.fullEvery
 	if !full {
-		s.removedBuf, s.upsertBuf = diffSnapshots(s.baseSnap, s.snapBuf, s.removedBuf[:0], s.upsertBuf[:0])
+		s.removedBuf, s.upsertBuf = DiffSnapshots(s.baseSnap, s.snapBuf, s.removedBuf[:0], s.upsertBuf[:0])
 		if len(s.removedBuf)+len(s.upsertBuf) > len(s.snapBuf) {
 			full = true // the delta outgrew the full set: cheaper to re-base
 		}
 	}
 	if full {
 		s.pubPayload = appendSnapshot(s.pubPayload[:0], s.id, seq, s.snapBuf)
-		// DEL first clears the stale delta field (and any legacy plain
-		// key), so a reader can never pair the new base with an old delta.
+		// DEL first clears the stale delta field, so a reader can never
+		// pair the new base with an old delta.
 		p.Del(s.key())
 		p.HSet(s.key(), "base", s.pubPayload)
 		return pubPlan{changed: true, full: true, seq: seq, ver: ver, cmds: 2}
@@ -583,15 +583,13 @@ func (s *Site) ingestLocked(entries []store.Entry, exp *ownExpect) (viewsChanged
 	}
 	for i := 0; i < len(entries); {
 		key := entries[i].Key
-		var basePayload, deltaPayload, plainPayload []byte
+		var basePayload, deltaPayload []byte
 		for ; i < len(entries) && entries[i].Key == key; i++ {
 			switch entries[i].Field {
 			case "base":
 				basePayload = entries[i].Value
 			case "delta":
 				deltaPayload = entries[i].Value
-			case "":
-				plainPayload = entries[i].Value
 			}
 		}
 		if key == own {
@@ -599,12 +597,12 @@ func (s *Site) ingestLocked(entries []store.Entry, exp *ownExpect) (viewsChanged
 				ownSeen = true
 				okBase := false
 				if basePayload != nil {
-					_, bs, err := peekSnapshotSeq(basePayload)
+					bs, err := peekSnapshotSeq(basePayload)
 					okBase = err == nil && bs == exp.baseSeq
 				}
 				okDelta := exp.seq == exp.baseSeq // no delta expected
 				if !okDelta && deltaPayload != nil {
-					_, df, dt, err := peekDeltaSeqs(deltaPayload)
+					df, dt, err := peekDeltaSeqs(deltaPayload)
 					okDelta = err == nil && df == exp.baseSeq && dt == exp.seq
 				}
 				if !okBase || !okDelta {
@@ -612,11 +610,6 @@ func (s *Site) ingestLocked(entries []store.Entry, exp *ownExpect) (viewsChanged
 				}
 			}
 			continue
-		}
-		if basePayload == nil {
-			// Sites that predate the hash layout publish a plain key; treat
-			// it as a base-only snapshot (tests also write these directly).
-			basePayload = plainPayload
 		}
 		pv := s.peers[key]
 		if basePayload == nil {
@@ -629,7 +622,7 @@ func (s *Site) ingestLocked(entries []store.Entry, exp *ownExpect) (viewsChanged
 			}
 			continue
 		}
-		_, bseq, err := peekSnapshotSeq(basePayload)
+		bseq, err := peekSnapshotSeq(basePayload)
 		if err != nil {
 			if pv != nil {
 				pv.seen = true // keep the last good view
@@ -641,7 +634,7 @@ func (s *Site) ingestLocked(entries []store.Entry, exp *ownExpect) (viewsChanged
 		haveDelta := false
 		var deltaTo uint64
 		if deltaPayload != nil {
-			_, df, dt, derr := peekDeltaSeqs(deltaPayload)
+			df, dt, derr := peekDeltaSeqs(deltaPayload)
 			if derr == nil && df == bseq {
 				haveDelta, deltaTo, target = true, dt, dt
 			} else {
@@ -656,7 +649,7 @@ func (s *Site) ingestLocked(entries []store.Entry, exp *ownExpect) (viewsChanged
 			continue // unchanged: no decode, no rebuild
 		}
 		if pv == nil {
-			_, _, snap, err := decodeSnapshot(basePayload)
+			_, _, snap, err := DecodeSnapshot(basePayload)
 			if err != nil {
 				s.stats.snapshotsDropped.Add(1)
 				continue
@@ -667,7 +660,7 @@ func (s *Site) ingestLocked(entries []store.Entry, exp *ownExpect) (viewsChanged
 		} else {
 			pv.seen = true
 			if pv.baseSeq != bseq {
-				_, _, snap, err := decodeSnapshot(basePayload)
+				_, _, snap, err := DecodeSnapshot(basePayload)
 				if err != nil {
 					s.stats.snapshotsDropped.Add(1)
 					continue // keep the last good view
@@ -678,7 +671,7 @@ func (s *Site) ingestLocked(entries []store.Entry, exp *ownExpect) (viewsChanged
 			}
 		}
 		if haveDelta && pv.viewSeq != deltaTo {
-			_, _, _, removed, upserts, err := decodeDelta(deltaPayload)
+			_, _, _, removed, upserts, err := DecodeDelta(deltaPayload)
 			if err != nil {
 				// Corrupt delta body: fall back to the base snapshot. The
 				// publisher's next overwrite (or re-base) heals the field.
@@ -689,7 +682,7 @@ func (s *Site) ingestLocked(entries []store.Entry, exp *ownExpect) (viewsChanged
 				}
 				continue
 			}
-			pv.applyBuf = applyDelta(pv.applyBuf[:0], pv.base, removed, upserts)
+			pv.applyBuf = ApplyDelta(pv.applyBuf[:0], pv.base, removed, upserts)
 			pv.view, pv.viewSeq = pv.applyBuf, deltaTo
 			viewsChanged = true
 		} else if !haveDelta && pv.viewSeq != bseq {

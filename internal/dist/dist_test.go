@@ -28,8 +28,8 @@ func TestCodecRoundTrip(t *testing.T) {
 			Regs:     []deps.Reg{},
 		},
 	}
-	payload := encodeSnapshot(3, 99, snap)
-	id, seq, got, err := decodeSnapshot(payload)
+	payload := EncodeSnapshot(3, 99, snap)
+	id, seq, got, err := DecodeSnapshot(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,15 +61,15 @@ func sliceEqual[T comparable](a, b []T) bool {
 }
 
 func TestCodecEmptySnapshot(t *testing.T) {
-	payload := encodeSnapshot(7, 1, nil)
-	id, seq, snap, err := decodeSnapshot(payload)
+	payload := EncodeSnapshot(7, 1, nil)
+	id, seq, snap, err := DecodeSnapshot(payload)
 	if err != nil || id != 7 || seq != 1 || len(snap) != 0 {
 		t.Fatalf("empty round trip: %d %d %v %v", id, seq, snap, err)
 	}
 }
 
 func TestCodecRejectsCorrupt(t *testing.T) {
-	good := encodeSnapshot(1, 1, []deps.Blocked{{
+	good := EncodeSnapshot(1, 1, []deps.Blocked{{
 		Task:     5,
 		WaitsFor: []deps.Resource{{Phaser: 2, Phase: 1}},
 		Regs:     []deps.Reg{{Phaser: 2, Phase: 0}},
@@ -83,7 +83,7 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 		"huge length": append([]byte(snapshotMagic), 1, 1, 0xff, 0xff, 0xff, 0xff, 0x7f),
 	}
 	for name, payload := range cases {
-		if _, _, _, err := decodeSnapshot(payload); err == nil {
+		if _, _, _, err := DecodeSnapshot(payload); err == nil {
 			t.Fatalf("%s: decode accepted corrupt payload", name)
 		}
 	}
@@ -180,10 +180,25 @@ func TestSiteSurvivesStoreRestart(t *testing.T) {
 	// The restarted (empty) store has been repopulated.
 	c := store.Dial(addr)
 	defer c.Close()
-	keys, err := c.Keys(keyPrefix)
-	if err != nil || len(keys) != 1 {
-		t.Fatalf("snapshot not republished: keys=%v err=%v", keys, err)
+	if keys := storedKeys(t, c); len(keys) != 1 {
+		t.Fatalf("snapshot not republished: keys=%v", keys)
 	}
+}
+
+// storedKeys lists the distinct snapshot keys the store holds.
+func storedKeys(t *testing.T, c *store.Client) []string {
+	t.Helper()
+	entries, err := c.MGetPrefix(keyPrefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, e := range entries {
+		if len(keys) == 0 || keys[len(keys)-1] != e.Key {
+			keys = append(keys, e.Key)
+		}
+	}
+	return keys
 }
 
 // TestStaleAndCorruptSnapshotsDoNotWedge: the global check must complete
@@ -199,7 +214,7 @@ func TestStaleAndCorruptSnapshotsDoNotWedge(t *testing.T) {
 
 	arc := func(site int64, lags int64) []byte {
 		ph := deps.PhaserID(site<<SiteIDShift + 1)
-		return encodeSnapshot(int(site), 1, []deps.Blocked{{
+		return EncodeSnapshot(int(site), 1, []deps.Blocked{{
 			Task:     deps.TaskID(site<<SiteIDShift + 1),
 			WaitsFor: []deps.Resource{{Phaser: ph, Phase: 1}},
 			Regs: []deps.Reg{
@@ -211,11 +226,11 @@ func TestStaleAndCorruptSnapshotsDoNotWedge(t *testing.T) {
 
 	// (a) A dead site 90's stale snapshot: blocked on its own barrier while
 	// lagging dead site 92's — internally acyclic, never refreshed again.
-	if err := c.Set(keyPrefix+"90", arc(90, 92)); err != nil {
+	if err := c.HSet(keyPrefix+"90", "base", arc(90, 92)); err != nil {
 		t.Fatal(err)
 	}
 	// (b) Garbage under the prefix.
-	if err := c.Set(keyPrefix+"91", []byte("not a snapshot")); err != nil {
+	if err := c.HSet(keyPrefix+"91", "base", []byte("not a snapshot")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -235,7 +250,7 @@ func TestStaleAndCorruptSnapshotsDoNotWedge(t *testing.T) {
 	// (c) Dead site 92's stale snapshot closes the ring with 90's. The
 	// deadlock is real and permanent — neither dead site's tasks can ever
 	// advance — so every live site must report it.
-	if err := c.Set(keyPrefix+"92", arc(92, 90)); err != nil {
+	if err := c.HSet(keyPrefix+"92", "base", arc(92, 90)); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range sites {
@@ -265,14 +280,12 @@ func TestCloseWithdrawsSnapshot(t *testing.T) {
 	}
 	c := store.Dial(srv.Addr())
 	defer c.Close()
-	keys, err := c.Keys(keyPrefix)
-	if err != nil || len(keys) != 2 {
-		t.Fatalf("Keys = %v, %v", keys, err)
+	if keys := storedKeys(t, c); len(keys) != 2 {
+		t.Fatalf("keys = %v", keys)
 	}
 	sites[0].Close()
-	keys, err = c.Keys(keyPrefix)
-	if err != nil || len(keys) != 1 {
-		t.Fatalf("after close: Keys = %v, %v", keys, err)
+	if keys := storedKeys(t, c); len(keys) != 1 {
+		t.Fatalf("after close: keys = %v", keys)
 	}
 }
 

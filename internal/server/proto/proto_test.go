@@ -48,10 +48,11 @@ func TestValidSession(t *testing.T) {
 	}
 }
 
-func TestResponseRoundTrip(t *testing.T) {
+// sampleResponses is one response of every shape the server sends.
+func sampleResponses() []Response {
 	cycleT := []deps.TaskID{3, 9}
 	cycleR := []deps.Resource{{Phaser: 1, Phase: 4}, {Phaser: 2, Phase: -7}}
-	cases := []Response{
+	return []Response{
 		{Kind: RespHello, Mode: 2, Resumed: true},
 		{Kind: RespHello, Mode: 1},
 		{Kind: RespGate, Task: 42, Allowed: true},
@@ -62,6 +63,10 @@ func TestResponseRoundTrip(t *testing.T) {
 		{Kind: RespGoodbye, Code: ByeDrain, Msg: "server draining"},
 		{Kind: RespGoodbye, Code: ByeMalformed},
 	}
+}
+
+func TestResponseRoundTrip(t *testing.T) {
+	cases := sampleResponses()
 	var buf []byte
 	var stream bytes.Buffer
 	for i := range cases {
@@ -78,14 +83,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		if err := ReadResponse(br, &r); err != nil {
 			t.Fatalf("case %d: read: %v", i, err)
 		}
-		got, want := r, cases[i]
-		got.buf = nil // reader-internal scratch, not part of the response
-		if len(got.Tasks) == 0 {
-			got.Tasks = nil
-		}
-		if len(got.Resources) == 0 {
-			got.Resources = nil
-		}
+		got, want := normResponse(&r), cases[i]
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d:\ngot  %+v\nwant %+v", i, got, want)
 		}
@@ -98,7 +96,8 @@ func TestReadResponseRejectsGarbage(t *testing.T) {
 		{0x03, 0x63, 0x00, 0x00},             // unknown kind 99
 		{0x02, 0x02, 0x05},                   // gate frame truncated
 		{0x05, 0x02, 0x05, 0x01, 0x00, 0x00}, // trailing bytes
-		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, // length overflows
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},                    // length overflows
+		append([]byte{0x85, 0x02, 0x05, 0x01, 0x81, 0x02}, strings.Repeat("x", 257)...), // goodbye message over its cap
 	} {
 		var r Response
 		if err := ReadResponse(bufio.NewReader(bytes.NewReader(raw)), &r); err == nil {

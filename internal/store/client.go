@@ -243,21 +243,6 @@ func (c *Client) Ping() error {
 	return nil
 }
 
-// Set stores value under key.
-func (c *Client) Set(key string, value []byte) error {
-	_, err := c.do([]byte("SET"), []byte(key), value)
-	return err
-}
-
-// Get fetches key; ErrNil if absent.
-func (c *Client) Get(key string) ([]byte, error) {
-	rep, err := c.do([]byte("GET"), []byte(key))
-	if err != nil {
-		return nil, err
-	}
-	return rep.bulk, nil
-}
-
 // Del removes keys, returning how many existed.
 func (c *Client) Del(keys ...string) (int, error) {
 	args := make([][]byte, 0, len(keys)+1)
@@ -269,32 +254,10 @@ func (c *Client) Del(keys ...string) (int, error) {
 	return rep.n, err
 }
 
-// Keys lists all keys with the given prefix.
-func (c *Client) Keys(prefix string) ([]string, error) {
-	rep, err := c.do([]byte("KEYS"), []byte(prefix))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(rep.array))
-	for i, b := range rep.array {
-		out[i] = string(b)
-	}
-	return out, nil
-}
-
 // HSet stores field=value in hash.
 func (c *Client) HSet(hash, field string, value []byte) error {
 	_, err := c.do([]byte("HSET"), []byte(hash), []byte(field), value)
 	return err
-}
-
-// HGet fetches hash[field]; ErrNil if absent.
-func (c *Client) HGet(hash, field string) ([]byte, error) {
-	rep, err := c.do([]byte("HGET"), []byte(hash), []byte(field))
-	if err != nil {
-		return nil, err
-	}
-	return rep.bulk, nil
 }
 
 // HGetAll returns every field of the hash.
@@ -310,21 +273,14 @@ func (c *Client) HGetAll(hash string) (map[string][]byte, error) {
 	return out, nil
 }
 
-// HDel removes hash[field], reporting whether it existed.
-func (c *Client) HDel(hash, field string) (bool, error) {
-	rep, err := c.do([]byte("HDEL"), []byte(hash), []byte(field))
-	return rep.n > 0, err
-}
-
 // HLen returns the number of fields in hash (0 if absent).
 func (c *Client) HLen(hash string) (int, error) {
 	rep, err := c.do([]byte("HLEN"), []byte(hash))
 	return rep.n, err
 }
 
-// Entry is one (key, field, value) triple from an MGETP reply. Plain keys
-// carry an empty Field; hash keys contribute one Entry per field. Entries
-// arrive sorted by (Key, Field).
+// Entry is one (key, field, value) triple from an MGETP reply: each hash
+// contributes one Entry per field. Entries arrive sorted by (Key, Field).
 type Entry struct {
 	Key   string
 	Field string
@@ -342,8 +298,8 @@ func parseEntries(arr [][]byte) ([]Entry, error) {
 	return out, nil
 }
 
-// MGetPrefix returns every value stored under keys with the given prefix
-// — plain keys and hash fields alike — in one round trip.
+// MGetPrefix returns every hash field stored under keys with the given
+// prefix in one round trip.
 func (c *Client) MGetPrefix(prefix string) ([]Entry, error) {
 	rep, err := c.do([]byte("MGETP"), []byte(prefix))
 	if err != nil {
@@ -374,8 +330,8 @@ func (r Reply) Entries() ([]Entry, error) {
 // Pipeline batches commands into one buffered write with a single flush;
 // replies are matched in order, so N commands cost one network round trip
 // instead of N. On a broken connection the whole batch is retried once
-// after a redial — callers must only pipeline idempotent commands (SET,
-// HSET, DEL, reads), which is all the verification rounds need. Queued
+// after a redial — callers must only pipeline idempotent commands (HSET,
+// DEL, reads), which is all the verification rounds need. Queued
 // values are referenced, not copied: do not mutate them before Exec.
 // A Pipeline is not safe for concurrent use; Exec resets it for reuse.
 type Pipeline struct {
@@ -394,11 +350,6 @@ func (p *Pipeline) add(name string, args ...[]byte) {
 
 // Len reports how many commands are queued.
 func (p *Pipeline) Len() int { return len(p.names) }
-
-// Set queues SET key value.
-func (p *Pipeline) Set(key string, value []byte) {
-	p.add("SET", []byte("SET"), []byte(key), value)
-}
 
 // Del queues DEL key.
 func (p *Pipeline) Del(key string) {

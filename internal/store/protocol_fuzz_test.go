@@ -23,7 +23,9 @@ func cmdBytes(args ...string) []byte {
 
 // FuzzStoreProtocol feeds arbitrary bytes to the server's command reader
 // and dispatcher — the exact code path a connection exercises, covering
-// every command including the batched MGETP and HLEN. Two properties:
+// every command including the batched MGETP and HLEN. The seeds naming
+// commands the store does not serve (SET, GET, HGET, HDEL, KEYS) exercise
+// the unknown-command reply. Two properties:
 //
 //  1. the server never panics, however malformed the stream, and
 //  2. every byte the server emits parses as a well-formed reply stream
@@ -61,10 +63,7 @@ func FuzzStoreProtocol(f *testing.F) {
 	f.Add([]byte("*1\r\n$99999999999\r\nx\r\n")) // huge bulk length
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := &Server{
-			data:   make(map[string][]byte),
-			hashes: make(map[string]map[string][]byte),
-		}
+		s := &Server{hashes: make(map[string]map[string][]byte)}
 		r := bufio.NewReader(bytes.NewReader(data))
 		var out bytes.Buffer
 		w := bufio.NewWriter(&out)

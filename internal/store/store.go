@@ -4,13 +4,13 @@
 // speaking a RESP-like binary-safe protocol over TCP, and a fault-tolerant
 // client that transparently reconnects after server restarts.
 //
-// Supported commands: PING, SET, GET, DEL, KEYS (prefix match), HSET, HGET,
-// HGETALL, HDEL, HLEN, MGETP — the subset the one-phase detection algorithm
-// needs. MGETP returns every value under a key prefix (plain keys and hash
-// fields alike) in a single round trip, so a verification round costs one
-// command instead of KEYS plus one GET per site; the Client additionally
-// supports pipelining (Pipeline) so several commands share one flush and
-// one round trip.
+// Supported commands: PING, DEL, HSET, HGETALL, HLEN, MGETP — exactly what
+// the one-phase detection algorithm (internal/dist) and the fleet session
+// persister (internal/server) send. Every key is a hash. MGETP returns
+// every field under a key prefix in a single round trip, so a verification
+// round costs one command however many sites publish; the Client
+// additionally supports pipelining (Pipeline) so several commands share one
+// flush and one round trip.
 package store
 
 import (
@@ -32,7 +32,6 @@ type Server struct {
 	ln net.Listener
 
 	mu     sync.RWMutex
-	data   map[string][]byte
 	hashes map[string]map[string][]byte
 
 	connMu sync.Mutex
@@ -52,7 +51,6 @@ func NewServer(addr string) (*Server, error) {
 	}
 	s := &Server{
 		ln:     ln,
-		data:   make(map[string][]byte),
 		hashes: make(map[string]map[string][]byte),
 		conns:  make(map[net.Conn]struct{}),
 	}
@@ -166,27 +164,6 @@ func (s *Server) dispatch(w *bufio.Writer, args [][]byte) error {
 	case "PING":
 		return writeSimple(w, "PONG")
 
-	case "SET":
-		if len(args) != 3 {
-			return writeError(w, "SET needs key and value")
-		}
-		s.mu.Lock()
-		s.data[string(args[1])] = clone(args[2])
-		s.mu.Unlock()
-		return writeSimple(w, "OK")
-
-	case "GET":
-		if len(args) != 2 {
-			return writeError(w, "GET needs key")
-		}
-		s.mu.RLock()
-		v, ok := s.data[string(args[1])]
-		s.mu.RUnlock()
-		if !ok {
-			return writeNil(w)
-		}
-		return writeBulk(w, v)
-
 	case "DEL":
 		if len(args) < 2 {
 			return writeError(w, "DEL needs at least one key")
@@ -195,10 +172,6 @@ func (s *Server) dispatch(w *bufio.Writer, args [][]byte) error {
 		s.mu.Lock()
 		for _, k := range args[1:] {
 			key := string(k)
-			if _, ok := s.data[key]; ok {
-				delete(s.data, key)
-				n++
-			}
 			if _, ok := s.hashes[key]; ok {
 				delete(s.hashes, key)
 				n++
@@ -206,31 +179,6 @@ func (s *Server) dispatch(w *bufio.Writer, args [][]byte) error {
 		}
 		s.mu.Unlock()
 		return writeInt(w, n)
-
-	case "KEYS":
-		if len(args) != 2 {
-			return writeError(w, "KEYS needs a prefix")
-		}
-		prefix := string(args[1])
-		s.mu.RLock()
-		var keys []string
-		for k := range s.data {
-			if strings.HasPrefix(k, prefix) {
-				keys = append(keys, k)
-			}
-		}
-		for k := range s.hashes {
-			if strings.HasPrefix(k, prefix) {
-				keys = append(keys, k)
-			}
-		}
-		s.mu.RUnlock()
-		sort.Strings(keys)
-		vals := make([][]byte, len(keys))
-		for i, k := range keys {
-			vals[i] = []byte(k)
-		}
-		return writeArray(w, vals)
 
 	case "HSET":
 		if len(args) != 4 {
@@ -245,18 +193,6 @@ func (s *Server) dispatch(w *bufio.Writer, args [][]byte) error {
 		h[string(args[2])] = clone(args[3])
 		s.mu.Unlock()
 		return writeSimple(w, "OK")
-
-	case "HGET":
-		if len(args) != 3 {
-			return writeError(w, "HGET needs hash and field")
-		}
-		s.mu.RLock()
-		v, ok := s.hashes[string(args[1])][string(args[2])]
-		s.mu.RUnlock()
-		if !ok {
-			return writeNil(w)
-		}
-		return writeBulk(w, v)
 
 	case "HGETALL":
 		if len(args) != 2 {
@@ -292,69 +228,39 @@ func (s *Server) dispatch(w *bufio.Writer, args [][]byte) error {
 		prefix := string(args[1])
 		s.mu.RLock()
 		var keys []string
-		for k := range s.data {
+		n := 0
+		for k, h := range s.hashes {
 			if strings.HasPrefix(k, prefix) {
 				keys = append(keys, k)
-			}
-		}
-		for k := range s.hashes {
-			if strings.HasPrefix(k, prefix) {
-				keys = append(keys, k)
+				n += len(h)
 			}
 		}
 		sort.Strings(keys)
-		// A key can live in both maps (SET then HSET); emit it once per
-		// store entry, so dedupe the merged key list.
-		uniq := keys[:0]
-		for i, k := range keys {
-			if i == 0 || k != keys[i-1] {
-				uniq = append(uniq, k)
-			}
-		}
 		// Reply is a flat array of (key, field, value) triples sorted by
-		// (key, field); plain keys carry an empty field. The entries stream
-		// straight from the maps into the write buffer under the read lock,
-		// with no intermediate slices or value copies.
-		n := 0
-		for _, k := range uniq {
-			if _, ok := s.data[k]; ok {
-				n++
-			}
-			n += len(s.hashes[k])
-		}
+		// (key, field). The entries stream straight from the maps into the
+		// write buffer under the read lock, with no intermediate slices or
+		// value copies.
 		var fields []string
 		emit := func() error {
 			if err := writeHeader(w, '*', 3*n); err != nil {
 				return err
 			}
-			for _, k := range uniq {
-				if v, ok := s.data[k]; ok {
+			for _, k := range keys {
+				h := s.hashes[k]
+				fields = fields[:0]
+				for f := range h {
+					fields = append(fields, f)
+				}
+				sort.Strings(fields)
+				for _, f := range fields {
 					if err := writeBulkString(w, k); err != nil {
 						return err
 					}
-					if err := writeBulk(w, nil); err != nil {
+					if err := writeBulkString(w, f); err != nil {
 						return err
 					}
-					if err := writeBulk(w, v); err != nil {
+					if err := writeBulk(w, h[f]); err != nil {
 						return err
-					}
-				}
-				if h, ok := s.hashes[k]; ok {
-					fields = fields[:0]
-					for f := range h {
-						fields = append(fields, f)
-					}
-					sort.Strings(fields)
-					for _, f := range fields {
-						if err := writeBulkString(w, k); err != nil {
-							return err
-						}
-						if err := writeBulkString(w, f); err != nil {
-							return err
-						}
-						if err := writeBulk(w, h[f]); err != nil {
-							return err
-						}
 					}
 				}
 			}
@@ -363,21 +269,6 @@ func (s *Server) dispatch(w *bufio.Writer, args [][]byte) error {
 		err := emit()
 		s.mu.RUnlock()
 		return err
-
-	case "HDEL":
-		if len(args) != 3 {
-			return writeError(w, "HDEL needs hash and field")
-		}
-		n := 0
-		s.mu.Lock()
-		if h, ok := s.hashes[string(args[1])]; ok {
-			if _, ok := h[string(args[2])]; ok {
-				delete(h, string(args[2]))
-				n = 1
-			}
-		}
-		s.mu.Unlock()
-		return writeInt(w, n)
 
 	default:
 		up := strings.ToUpper(string(args[0]))
@@ -403,7 +294,8 @@ func clone(b []byte) []byte {
 // ErrServerError wraps an -ERR response from the server.
 var ErrServerError = errors.New("store: server error")
 
-// ErrNil is returned by Get/HGet for a missing key.
+// ErrNil is the protocol's nil bulk reply ("$-1"), which none of the
+// server's commands sends; the reply readers recognise it.
 var ErrNil = errors.New("store: nil reply")
 
 // writeHeader writes a one-byte type tag, a decimal count, and CRLF without
@@ -442,11 +334,6 @@ func writeError(w *bufio.Writer, msg string) error {
 
 func writeInt(w *bufio.Writer, n int) error {
 	return writeHeader(w, ':', n)
-}
-
-func writeNil(w *bufio.Writer) error {
-	_, err := w.WriteString("$-1\r\n")
-	return err
 }
 
 func writeBulk(w *bufio.Writer, b []byte) error {

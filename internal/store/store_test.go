@@ -30,64 +30,52 @@ func TestPing(t *testing.T) {
 	}
 }
 
-func TestSetGetDel(t *testing.T) {
-	_, c := newPair(t)
-	if err := c.Set("k", []byte("v")); err != nil {
+// hget reads hash[field] through HGETALL.
+func hget(t testing.TB, c *Client, hash, field string) ([]byte, bool) {
+	t.Helper()
+	m, err := c.HGetAll(hash)
+	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.Get("k")
-	if err != nil || string(v) != "v" {
-		t.Fatalf("Get = %q, %v", v, err)
+	v, ok := m[field]
+	return v, ok
+}
+
+func TestSetGetDel(t *testing.T) {
+	_, c := newPair(t)
+	if err := c.HSet("k", "f", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := hget(t, c, "k", "f"); !ok || string(v) != "v" {
+		t.Fatalf("HGetAll = %q, %v", v, ok)
 	}
 	n, err := c.Del("k", "absent")
 	if err != nil || n != 1 {
 		t.Fatalf("Del = %d, %v", n, err)
 	}
-	if _, err := c.Get("k"); !errors.Is(err, ErrNil) {
-		t.Fatalf("Get deleted key: %v", err)
+	if _, ok := hget(t, c, "k", "f"); ok {
+		t.Fatal("deleted hash still readable")
 	}
 }
 
 func TestBinarySafeValues(t *testing.T) {
 	_, c := newPair(t)
 	payload := []byte{0, 1, 2, '\r', '\n', 0xff, '$', '*', 0}
-	if err := c.Set("bin", payload); err != nil {
+	if err := c.HSet("bin", "f", payload); err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.Get("bin")
-	if err != nil || !bytes.Equal(v, payload) {
-		t.Fatalf("binary round trip failed: %v %v", v, err)
+	if v, _ := hget(t, c, "bin", "f"); !bytes.Equal(v, payload) {
+		t.Fatalf("binary round trip failed: %v", v)
 	}
 }
 
 func TestEmptyValue(t *testing.T) {
 	_, c := newPair(t)
-	if err := c.Set("e", nil); err != nil {
+	if err := c.HSet("e", "f", nil); err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.Get("e")
-	if err != nil || len(v) != 0 {
-		t.Fatalf("empty value round trip: %q %v", v, err)
-	}
-}
-
-func TestKeysPrefix(t *testing.T) {
-	_, c := newPair(t)
-	for _, k := range []string{"armus:site:1", "armus:site:2", "other"} {
-		if err := c.Set(k, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keys, err := c.Keys("armus:site:")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 2 || keys[0] != "armus:site:1" || keys[1] != "armus:site:2" {
-		t.Fatalf("Keys = %v", keys)
-	}
-	all, err := c.Keys("")
-	if err != nil || len(all) != 3 {
-		t.Fatalf("Keys(\"\") = %v, %v", all, err)
+	if v, ok := hget(t, c, "e", "f"); !ok || len(v) != 0 {
+		t.Fatalf("empty value round trip: %q %v", v, ok)
 	}
 }
 
@@ -99,26 +87,17 @@ func TestHashOps(t *testing.T) {
 	if err := c.HSet("h", "f2", []byte("b")); err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.HGet("h", "f1")
-	if err != nil || string(v) != "a" {
-		t.Fatalf("HGet = %q, %v", v, err)
-	}
-	if _, err := c.HGet("h", "absent"); !errors.Is(err, ErrNil) {
-		t.Fatalf("HGet absent: %v", err)
+	if err := c.HSet("h", "f1", []byte("c")); err != nil { // overwrite
+		t.Fatal(err)
 	}
 	m, err := c.HGetAll("h")
-	if err != nil || len(m) != 2 || string(m["f2"]) != "b" {
+	if err != nil || len(m) != 2 || string(m["f1"]) != "c" || string(m["f2"]) != "b" {
 		t.Fatalf("HGetAll = %v, %v", m, err)
 	}
-	ok, err := c.HDel("h", "f1")
-	if err != nil || !ok {
-		t.Fatalf("HDel = %v, %v", ok, err)
+	if m, err := c.HGetAll("absent"); err != nil || len(m) != 0 {
+		t.Fatalf("HGetAll absent = %v, %v", m, err)
 	}
-	ok, err = c.HDel("h", "f1")
-	if err != nil || ok {
-		t.Fatalf("HDel again = %v, %v", ok, err)
-	}
-	// DEL removes whole hashes too.
+	// DEL removes whole hashes.
 	if n, err := c.Del("h"); err != nil || n != 1 {
 		t.Fatalf("Del hash = %d, %v", n, err)
 	}
@@ -149,11 +128,11 @@ func TestConcurrentClients(t *testing.T) {
 			defer c.Close()
 			for j := 0; j < 50; j++ {
 				k := fmt.Sprintf("k%d", i)
-				if err := c.Set(k, []byte(fmt.Sprintf("%d", j))); err != nil {
+				if err := c.HSet(k, "f", []byte(fmt.Sprintf("%d", j))); err != nil {
 					errs <- err
 					return
 				}
-				if _, err := c.Get(k); err != nil {
+				if _, err := c.HGetAll(k); err != nil {
 					errs <- err
 					return
 				}
@@ -178,7 +157,7 @@ func TestClientReconnects(t *testing.T) {
 	addr := srv.Addr()
 	c := Dial(addr)
 	defer c.Close()
-	if err := c.Set("k", []byte("v")); err != nil {
+	if err := c.HSet("k", "f", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
@@ -195,8 +174,8 @@ func TestClientReconnects(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatalf("client did not reconnect: %v", err)
 	}
-	if _, err := c.Get("k"); !errors.Is(err, ErrNil) {
-		t.Fatalf("restarted store should be empty: %v", err)
+	if n, err := c.HLen("k"); err != nil || n != 0 {
+		t.Fatalf("restarted store should be empty: %d, %v", n, err)
 	}
 }
 
@@ -215,16 +194,15 @@ func TestLargeValue(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i)
 	}
-	if err := c.Set("big", big); err != nil {
+	if err := c.HSet("big", "f", big); err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.Get("big")
-	if err != nil || !bytes.Equal(v, big) {
-		t.Fatalf("large value corrupted (len=%d, err=%v)", len(v), err)
+	if v, _ := hget(t, c, "big", "f"); !bytes.Equal(v, big) {
+		t.Fatalf("large value corrupted (len=%d)", len(v))
 	}
 }
 
-func BenchmarkSetGet(b *testing.B) {
+func BenchmarkHSetHGetAll(b *testing.B) {
 	srv, err := NewServer("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -236,10 +214,10 @@ func BenchmarkSetGet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Set("bench", payload); err != nil {
+		if err := c.HSet("bench", "f", payload); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c.Get("bench"); err != nil {
+		if _, err := c.HGetAll("bench"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -279,11 +257,17 @@ func TestClientConcurrentReconnect(t *testing.T) {
 				default:
 				}
 				val := []byte(fmt.Sprintf("v%d", n))
-				err := c.Set(key, val)
+				err := c.HSet(key, "f", val)
 				if err == nil {
-					got, gerr := c.Get(key)
-					if gerr == nil && string(got) != string(val) {
-						t.Errorf("worker %d read %q, wrote %q", i, got, val)
+					got, gerr := c.HGetAll(key)
+					v, ok := got["f"]
+					if gerr == nil && !ok {
+						// The write landed on the killed server; the
+						// restarted store is empty.
+						gerr = errors.New("write lost to the restart")
+					}
+					if gerr == nil && string(v) != string(val) {
+						t.Errorf("worker %d read %q, wrote %q", i, v, val)
 						return
 					}
 					err = gerr
@@ -339,7 +323,7 @@ func TestClientConcurrentReconnect(t *testing.T) {
 
 func TestMGetPrefix(t *testing.T) {
 	_, c := newPair(t)
-	if err := c.Set("armus:site:1", []byte("plain")); err != nil {
+	if err := c.HSet("armus:site:1", "base", []byte("b1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.HSet("armus:site:2", "delta", []byte("d2")); err != nil {
@@ -348,7 +332,7 @@ func TestMGetPrefix(t *testing.T) {
 	if err := c.HSet("armus:site:2", "base", []byte("b2")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Set("other", []byte("x")); err != nil {
+	if err := c.HSet("other", "base", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.MGetPrefix("armus:site:")
@@ -356,7 +340,7 @@ func TestMGetPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Entry{
-		{Key: "armus:site:1", Field: "", Value: []byte("plain")},
+		{Key: "armus:site:1", Field: "base", Value: []byte("b1")},
 		{Key: "armus:site:2", Field: "base", Value: []byte("b2")},
 		{Key: "armus:site:2", Field: "delta", Value: []byte("d2")},
 	}
@@ -371,25 +355,6 @@ func TestMGetPrefix(t *testing.T) {
 	empty, err := c.MGetPrefix("nosuch:")
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("MGetPrefix(nosuch) = %v, %v", empty, err)
-	}
-}
-
-// A key living both as plain data and as a hash (SET then HSET) must show
-// up once per stored entry, not be double-listed.
-func TestMGetPrefixMixedKey(t *testing.T) {
-	_, c := newPair(t)
-	if err := c.Set("k", []byte("plain")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.HSet("k", "f", []byte("hashed")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.MGetPrefix("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Field != "" || got[1].Field != "f" {
-		t.Fatalf("MGetPrefix mixed = %v", got)
 	}
 }
 
@@ -418,7 +383,7 @@ func TestPipelineExec(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := c.Pipeline()
-	p.Set("k", []byte("v"))
+	p.HSet("k", "f", []byte("v"))
 	p.HSet("h", "delta", []byte("d"))
 	p.HLen("h")
 	p.MGetPrefix("h")
@@ -453,7 +418,7 @@ func TestPipelineExec(t *testing.T) {
 	// The pipeline is reusable, and a server error mid-batch does not
 	// poison the commands after it.
 	p.add("BOGUS", []byte("BOGUS"))
-	p.Set("k2", []byte("v2"))
+	p.HSet("k2", "f", []byte("v2"))
 	reps, err = p.Exec()
 	if err != nil {
 		t.Fatal(err)
@@ -462,7 +427,7 @@ func TestPipelineExec(t *testing.T) {
 		t.Fatalf("bogus reply = %+v", reps[0])
 	}
 	if reps[1].Simple != "OK" || reps[1].Err != nil {
-		t.Fatalf("set after bogus = %+v", reps[1])
+		t.Fatalf("hset after bogus = %+v", reps[1])
 	}
 }
 
@@ -486,7 +451,7 @@ func TestPipelineReconnects(t *testing.T) {
 	}
 	defer srv2.Close()
 	p := c.Pipeline()
-	p.Set("k", []byte("v"))
+	p.HSet("k", "f", []byte("v"))
 	p.MGetPrefix("k")
 	reps, err := p.Exec()
 	if err != nil {
@@ -500,14 +465,14 @@ func TestPipelineReconnects(t *testing.T) {
 
 func TestClientStats(t *testing.T) {
 	_, c := newPair(t)
-	if err := c.Set("k", []byte("v")); err != nil {
+	if err := c.HSet("k", "f", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get("k"); err != nil {
+	if _, err := c.HGetAll("k"); err != nil {
 		t.Fatal(err)
 	}
 	p := c.Pipeline()
-	p.Set("k2", []byte("v"))
+	p.HSet("k2", "f", []byte("v"))
 	p.MGetPrefix("k")
 	if _, err := p.Exec(); err != nil {
 		t.Fatal(err)
@@ -516,7 +481,7 @@ func TestClientStats(t *testing.T) {
 	if st.RoundTrips != 3 {
 		t.Fatalf("RoundTrips = %d, want 3", st.RoundTrips)
 	}
-	if st.Commands["SET"] != 2 || st.Commands["GET"] != 1 || st.Commands["MGETP"] != 1 {
+	if st.Commands["HSET"] != 2 || st.Commands["HGETALL"] != 1 || st.Commands["MGETP"] != 1 {
 		t.Fatalf("Commands = %v", st.Commands)
 	}
 }
@@ -533,7 +498,7 @@ func TestClientSurvivesManyRestarts(t *testing.T) {
 	c := Dial(addr)
 	defer c.Close()
 	for round := 0; round < 4; round++ {
-		if err := c.Set("k", []byte{byte(round)}); err != nil {
+		if err := c.HSet("k", "f", []byte{byte(round)}); err != nil {
 			t.Fatalf("round %d: set against live server: %v", round, err)
 		}
 		srv.Close()
@@ -565,7 +530,7 @@ func TestMalformedTailFlushesBatchReplies(t *testing.T) {
 	defer conn.Close()
 	// Two valid commands, then a frame whose declared bulk length lies.
 	batch := "*1\r\n$4\r\nPING\r\n" +
-		"*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n" +
+		"*4\r\n$4\r\nHSET\r\n$1\r\nk\r\n$1\r\nf\r\n$1\r\nv\r\n" +
 		"*1\r\n$5\r\nBO\nGUS\r\n"
 	if _, err := conn.Write([]byte(batch)); err != nil {
 		t.Fatal(err)

@@ -10,14 +10,17 @@ import (
 	"os"
 
 	"armus/internal/deps"
+	"armus/internal/wire"
 )
 
-// The trace wire format follows the codec discipline of internal/dist's
-// snapshot codec: hand-rolled varints (compact, allocation-light), every
-// length validated before it is allocated, and a version baked into the
-// magic so an incompatible change is rejected up front rather than
-// misparsed. On top of that, traces are files that outlive the process that
-// wrote them, so the format is framed and integrity-checked:
+// The trace wire format is built on the codec kernel in internal/wire:
+// hand-rolled varints (compact, allocation-light), every length validated
+// before it is allocated, and a version baked into the magic so an
+// incompatible change is rejected up front rather than misparsed. Blocked
+// statuses use the kernel's one status encoding, the same bytes the
+// ARMUSD1/ARMUSI1 snapshot payloads carry. On top of that, traces are
+// files that outlive the process that wrote them, so the format is framed
+// and integrity-checked:
 //
 //	magic "ARMUSTR1"
 //	header frame:  uvarint len, then
@@ -172,14 +175,16 @@ func AppendEventFrame(buf []byte, e Event) ([]byte, error) {
 // event payload and the remaining frames. Malformed framing (bad prefix,
 // zero or over-limit length, short buffer) is an error.
 func NextFrame(frames []byte) (payload, rest []byte, err error) {
-	n, sz := binary.Uvarint(frames)
-	if sz <= 0 {
-		return nil, nil, fmt.Errorf("trace: bad frame length prefix")
+	c := wire.NewCursor(frames)
+	if n := c.UvarintMax(maxTraceItems); n == 0 {
+		c.Fail(wire.ErrRange)
+	} else {
+		payload = c.Bytes(int(n))
 	}
-	if n == 0 || n > maxTraceItems || uint64(len(frames)-sz) < n {
-		return nil, nil, fmt.Errorf("trace: frame length %d exceeds buffer", n)
+	if err := c.Err(); err != nil {
+		return nil, nil, fmt.Errorf("trace: frame: %w", err)
 	}
-	return frames[sz : sz+int(n)], frames[sz+int(n):], nil
+	return payload, frames[len(frames)-c.Len():], nil
 }
 
 // DecodeFramePayload decodes one event payload (the bytes NextFrame yields)
@@ -256,46 +261,24 @@ func appendEvent(buf []byte, e Event) ([]byte, error) {
 		buf = binary.AppendVarint(buf, int64(e.Task))
 		buf = binary.AppendVarint(buf, int64(e.Phaser))
 	case KindBlock:
-		buf = appendStatus(buf, e.Status)
+		buf = wire.AppendBlocked(buf, &e.Status)
 	case KindUnblock:
 		buf = binary.AppendVarint(buf, int64(e.Task))
 	case KindVerdict:
 		buf = binary.AppendUvarint(buf, uint64(e.Verdict))
 		switch e.Verdict {
 		case VerdictRejected:
-			buf = appendStatus(buf, e.Status)
+			buf = wire.AppendBlocked(buf, &e.Status)
 		case VerdictReported:
 		default:
 			return nil, fmt.Errorf("trace: cannot encode verdict kind %d", e.Verdict)
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(e.Tasks)))
-		for _, t := range e.Tasks {
-			buf = binary.AppendVarint(buf, int64(t))
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(e.Resources)))
-		for _, r := range e.Resources {
-			buf = binary.AppendVarint(buf, int64(r.Phaser))
-			buf = binary.AppendVarint(buf, r.Phase)
-		}
+		buf = wire.AppendTasks(buf, e.Tasks)
+		buf = wire.AppendResources(buf, e.Resources)
 	default:
 		return nil, fmt.Errorf("trace: cannot encode event kind %d", e.Kind)
 	}
 	return buf, nil
-}
-
-func appendStatus(buf []byte, b deps.Blocked) []byte {
-	buf = binary.AppendVarint(buf, int64(b.Task))
-	buf = binary.AppendUvarint(buf, uint64(len(b.WaitsFor)))
-	for _, r := range b.WaitsFor {
-		buf = binary.AppendVarint(buf, int64(r.Phaser))
-		buf = binary.AppendVarint(buf, r.Phase)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(b.Regs)))
-	for _, r := range b.Regs {
-		buf = binary.AppendVarint(buf, int64(r.Phaser))
-		buf = binary.AppendVarint(buf, r.Phase)
-	}
-	return buf
 }
 
 // Reader streams a trace from an io.Reader, validating framing as it goes
@@ -335,30 +318,14 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if hdr == nil {
 		return nil, fmt.Errorf("trace: missing header frame")
 	}
-	d := &eventDecoder{buf: hdr}
-	ver, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if ver != headerVersion {
+	c := wire.NewCursor(hdr)
+	if ver := c.Uvarint(); ver != headerVersion && c.Err() == nil {
 		return nil, fmt.Errorf("trace: unsupported header version %d", ver)
 	}
-	mode, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if mode > 0xff {
-		return nil, fmt.Errorf("trace: mode %d out of range", mode)
-	}
-	tr.mode = uint8(mode)
-	n, err := d.length()
-	if err != nil {
-		return nil, fmt.Errorf("trace: label: %w", err)
-	}
-	tr.label = string(d.buf[:n])
-	d.buf = d.buf[n:]
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("trace: %d trailing header bytes", len(d.buf))
+	tr.mode = uint8(c.UvarintMax(0xff))
+	tr.label = string(c.Bytes(c.Count(maxTraceItems)))
+	if err := c.End(); err != nil {
+		return nil, fmt.Errorf("trace: header: %w", err)
 	}
 	return tr, nil
 }
@@ -514,83 +481,6 @@ func (tr *Reader) NextInto(e *Event) error {
 // frames are already in memory) without ever blocking mid-batch.
 func (tr *Reader) Buffered() int { return tr.r.Buffered() }
 
-// eventDecoder is a cursor over one frame.
-type eventDecoder struct{ buf []byte }
-
-func (d *eventDecoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("trace: truncated frame")
-	}
-	d.buf = d.buf[n:]
-	return v, nil
-}
-
-func (d *eventDecoder) varint() (int64, error) {
-	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("trace: truncated frame")
-	}
-	d.buf = d.buf[n:]
-	return v, nil
-}
-
-// length decodes an item count, rejecting counts that could not possibly
-// fit in the remaining frame (every item costs at least one byte) before
-// anything is allocated.
-func (d *eventDecoder) length() (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > maxTraceItems || v > uint64(len(d.buf)) {
-		return 0, fmt.Errorf("trace: length %d exceeds limit", v)
-	}
-	return int(v), nil
-}
-
-// statusInto decodes a status into b, reusing b's slice capacity.
-func (d *eventDecoder) statusInto(b *deps.Blocked) error {
-	t, err := d.varint()
-	if err != nil {
-		return err
-	}
-	b.Task = deps.TaskID(t)
-	nw, err := d.length()
-	if err != nil {
-		return err
-	}
-	b.WaitsFor = b.WaitsFor[:0]
-	for i := 0; i < nw; i++ {
-		q, err := d.varint()
-		if err != nil {
-			return err
-		}
-		ph, err := d.varint()
-		if err != nil {
-			return err
-		}
-		b.WaitsFor = append(b.WaitsFor, deps.Resource{Phaser: deps.PhaserID(q), Phase: ph})
-	}
-	nr, err := d.length()
-	if err != nil {
-		return err
-	}
-	b.Regs = b.Regs[:0]
-	for i := 0; i < nr; i++ {
-		q, err := d.varint()
-		if err != nil {
-			return err
-		}
-		ph, err := d.varint()
-		if err != nil {
-			return err
-		}
-		b.Regs = append(b.Regs, deps.Reg{Phaser: deps.PhaserID(q), Phase: ph})
-	}
-	return nil
-}
-
 func decodeEvent(frame []byte) (Event, error) {
 	var e Event
 	if err := decodeEventInto(frame, &e); err != nil {
@@ -614,95 +504,44 @@ func resetEvent(e *Event) {
 // buffers are warm. On error e is left in an unspecified (but safely
 // reusable) state.
 func decodeEventInto(frame []byte, e *Event) error {
-	d := &eventDecoder{buf: frame}
+	c := wire.NewCursor(frame)
 	resetEvent(e)
-	kind, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	e.Kind = Kind(kind)
+	e.Kind = Kind(c.Uvarint())
 	switch e.Kind {
 	case KindRegister:
-		var t, q int64
-		if t, err = d.varint(); err == nil {
-			if q, err = d.varint(); err == nil {
-				if e.Phase, err = d.varint(); err == nil {
-					var m uint64
-					if m, err = d.uvarint(); err == nil && m > 0xff {
-						err = fmt.Errorf("trace: register mode %d out of range", m)
-					} else {
-						e.Mode = uint8(m)
-					}
-				}
-			}
-		}
-		e.Task, e.Phaser = deps.TaskID(t), deps.PhaserID(q)
+		e.Task = deps.TaskID(c.Varint())
+		e.Phaser = deps.PhaserID(c.Varint())
+		e.Phase = c.Varint()
+		e.Mode = uint8(c.UvarintMax(0xff))
 	case KindArrive:
-		var t, q int64
-		if t, err = d.varint(); err == nil {
-			if q, err = d.varint(); err == nil {
-				e.Phase, err = d.varint()
-			}
-		}
-		e.Task, e.Phaser = deps.TaskID(t), deps.PhaserID(q)
+		e.Task = deps.TaskID(c.Varint())
+		e.Phaser = deps.PhaserID(c.Varint())
+		e.Phase = c.Varint()
 	case KindDrop:
-		var t, q int64
-		if t, err = d.varint(); err == nil {
-			q, err = d.varint()
-		}
-		e.Task, e.Phaser = deps.TaskID(t), deps.PhaserID(q)
+		e.Task = deps.TaskID(c.Varint())
+		e.Phaser = deps.PhaserID(c.Varint())
 	case KindBlock:
-		err = d.statusInto(&e.Status)
+		wire.BlockedInto(&c, &e.Status)
 		e.Task = e.Status.Task
 	case KindUnblock:
-		var t int64
-		t, err = d.varint()
-		e.Task = deps.TaskID(t)
+		e.Task = deps.TaskID(c.Varint())
 	case KindVerdict:
-		var vk uint64
-		if vk, err = d.uvarint(); err == nil {
-			e.Verdict = VerdictKind(vk)
-			switch e.Verdict {
-			case VerdictRejected:
-				err = d.statusInto(&e.Status)
-				e.Task = e.Status.Task
-			case VerdictReported:
-			default:
-				err = fmt.Errorf("trace: unknown verdict kind %d", vk)
-			}
+		e.Verdict = VerdictKind(c.Uvarint())
+		switch e.Verdict {
+		case VerdictRejected:
+			wire.BlockedInto(&c, &e.Status)
+			e.Task = e.Status.Task
+		case VerdictReported:
+		default:
+			c.Fail(fmt.Errorf("unknown verdict kind %d", e.Verdict))
 		}
-		if err == nil {
-			var nt int
-			if nt, err = d.length(); err == nil {
-				for i := 0; i < nt && err == nil; i++ {
-					var t int64
-					if t, err = d.varint(); err == nil {
-						e.Tasks = append(e.Tasks, deps.TaskID(t))
-					}
-				}
-			}
-		}
-		if err == nil {
-			var nr int
-			if nr, err = d.length(); err == nil {
-				for i := 0; i < nr && err == nil; i++ {
-					var q, ph int64
-					if q, err = d.varint(); err == nil {
-						if ph, err = d.varint(); err == nil {
-							e.Resources = append(e.Resources, deps.Resource{Phaser: deps.PhaserID(q), Phase: ph})
-						}
-					}
-				}
-			}
-		}
+		e.Tasks = wire.TasksInto(&c, e.Tasks)
+		e.Resources = wire.ResourcesInto(&c, e.Resources)
 	default:
-		err = fmt.Errorf("trace: unknown event kind %d", kind)
+		c.Fail(fmt.Errorf("unknown event kind %d", e.Kind))
 	}
-	if err != nil {
-		return err
-	}
-	if len(d.buf) != 0 {
-		return fmt.Errorf("trace: %d unconsumed bytes in %v frame", len(d.buf), e.Kind)
+	if err := c.End(); err != nil {
+		return fmt.Errorf("trace: %v frame: %w", e.Kind, err)
 	}
 	return nil
 }
