@@ -7,6 +7,7 @@
 //	armus-loadgen -addr 127.0.0.1:7777 -clients 64 -mode avoid
 //	armus-loadgen -addr 127.0.0.1:7777 -clients 16 -mode detect -corpus 'testdata/corpus/*.trace'
 //	armus-loadgen -fleet host1:7777,host2:7777 -clients 32 -kill-pid $SRV1 -kill-after 2s
+//	armus-loadgen -addr 127.0.0.1:7777 -clients 64 -share 8 -mode detect
 //
 // With -fleet, sessions route by rendezvous hashing across the listed
 // servers and fail over when one dies; -kill-pid/-kill-after SIGKILL a
@@ -16,7 +17,10 @@
 //
 // Sources: every trace matching -corpus plus -sim-seeds freshly recorded
 // internal/sim program executions. Each client replays each source into
-// its own session (multi-tenant load), with:
+// its own session (multi-tenant load) or, with -share N, the clients of
+// each group of N replay it concurrently into one shared session, each
+// client's task and phaser ids offset so the programs stay independent.
+// Either way, with:
 //
 //   - avoid mode: every block round-trips the server's gate and the
 //     decision is asserted against a local mirror of the in-process gate
@@ -24,7 +28,13 @@
 //     latencies feed the p50/p99 report.
 //   - detect mode: mutations stream fire-and-forget; checkpoints every
 //     -check-every mutations assert the server verdict against the
-//     in-process replay (internal/trace/replay) of the same trace.
+//     in-process replay (internal/trace/replay) of the same trace. In a
+//     shared session the verdict covers every client's tasks, so there
+//     checkpoints are timed but not asserted.
+//
+// Besides the totals, the run reports the spread of the per-client
+// figures (events/s, gate and checkpoint latency percentiles): with
+// -share it shows whether clients of one session are served fairly.
 //
 // Exit status 0 means zero divergences; any parity violation (or
 // transport failure) exits 1 with the offending client/trace named.
@@ -43,6 +53,7 @@ import (
 
 	"armus/internal/client"
 	"armus/internal/core"
+	"armus/internal/deps"
 	"armus/internal/sim"
 	"armus/internal/trace"
 	"armus/internal/trace/replay"
@@ -58,7 +69,8 @@ func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:7777", "armus-serve address")
 		fleetCSV   = flag.String("fleet", "", "comma-separated fleet shard map: sessions route by rendezvous hashing with failover (-addr is ignored)")
-		clients    = flag.Int("clients", 64, "concurrent client sessions")
+		clients    = flag.Int("clients", 64, "concurrent clients")
+		share      = flag.Int("share", 1, "clients per session: groups of this many clients replay each source into one shared session")
 		mode       = flag.String("mode", "avoid", "session mode: avoid or detect")
 		corpus     = flag.String("corpus", "testdata/corpus/*.trace", "trace corpus glob ('' disables)")
 		simSeeds   = flag.Int("sim-seeds", 4, "additionally record this many sim program traces as sources")
@@ -90,6 +102,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "armus-loadgen: unknown -mode %q (avoid, detect)\n", *mode)
 		os.Exit(2)
 	}
+	if *share < 1 {
+		fmt.Fprintf(os.Stderr, "armus-loadgen: -share %d: want at least 1\n", *share)
+		os.Exit(2)
+	}
 
 	sources, err := loadSources(*corpus, *simSeeds, m)
 	if err != nil {
@@ -100,12 +116,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "armus-loadgen: no sources (empty corpus and -sim-seeds 0)")
 		os.Exit(2)
 	}
+	if *share > 1 {
+		for _, src := range sources {
+			if id := maxID(src.tr); id >= 1<<idBits {
+				fmt.Fprintf(os.Stderr, "armus-loadgen: -share: %s names id %d, at or above 2^%d\n", src.name, id, idBits)
+				os.Exit(2)
+			}
+		}
+	}
 	target := *addr
 	if len(fleet) > 0 {
 		target = fmt.Sprintf("fleet %v", fleet)
 	}
-	fmt.Printf("armus-loadgen: %d clients x %d sources x %d iters against %s (%s mode, checkpoint every %d)\n",
-		*clients, len(sources), *iters, target, m, *checkEvery)
+	fmt.Printf("armus-loadgen: %d clients x %d sources x %d iters against %s (%s mode, checkpoint every %d, %d clients per session)\n",
+		*clients, len(sources), *iters, target, m, *checkEvery, *share)
 
 	if *killPid != 0 && *killAfter > 0 {
 		go func() {
@@ -119,7 +143,8 @@ func main() {
 
 	type result struct {
 		events, mutations, rejections, checkpoints int
-		lat                                        client.LatencyHist
+		lat, check                                 client.LatencyHist
+		elapsed                                    time.Duration
 		err                                        error
 	}
 	results := make([]result, *clients)
@@ -130,6 +155,8 @@ func main() {
 		go func(i int) {
 			defer wg.Done()
 			r := &results[i]
+			t0 := time.Now()
+			defer func() { r.elapsed = time.Since(t0) }()
 			for it := 0; it < *iters; it++ {
 				for j, src := range sources {
 					// One fresh session per (client, source, iter): parity
@@ -137,19 +164,29 @@ func main() {
 					// session table and janitor like real tenants do.
 					// The mode is part of the name: sessions from an earlier
 					// run in the other mode may still be inside their lease.
+					session := fmt.Sprintf("%s-%s-c%d-s%d-i%d", *prefix, m, i, j, it)
+					tr, expected := src.tr, src.expected
+					if *share > 1 {
+						// The group's clients replay the same source into
+						// one session; the offset keeps each client's ids
+						// apart, so its own state starts clean.
+						session = fmt.Sprintf("%s-%s-g%d-s%d-i%d", *prefix, m, i / *share, j, it)
+						tr = offsetTrace(tr, int64(i%*share+1)<<idBits)
+						expected = nil
+					}
 					c, err := client.Dial(client.Config{
 						Addr:    *addr,
 						Fleet:   fleet,
-						Session: fmt.Sprintf("%s-%s-c%d-s%d-i%d", *prefix, m, i, j, it),
+						Session: session,
 						Mode:    m,
 					})
 					if err != nil {
 						r.err = fmt.Errorf("client %d: dial: %w", i, err)
 						return
 					}
-					st, err := client.ReplayTrace(c, src.tr, client.ReplayOptions{
+					st, err := client.ReplayTrace(c, tr, client.ReplayOptions{
 						CheckEvery: *checkEvery,
-						Expected:   src.expected,
+						Expected:   expected,
 					})
 					if st != nil {
 						r.events += st.Events
@@ -157,6 +194,7 @@ func main() {
 						r.rejections += st.Rejections
 						r.checkpoints += st.Checkpoints
 						r.lat.Merge(&st.Gate)
+						r.check.Merge(&st.Check)
 					}
 					cerr := c.Close()
 					if err != nil {
@@ -175,7 +213,8 @@ func main() {
 	elapsed := time.Since(start)
 
 	var events, mutations, rejections, checkpoints int
-	var lat client.LatencyHist
+	var lat, check client.LatencyHist
+	var rate, gateP50, gateP99, checkP50, checkP99 spread
 	failed := false
 	for i := range results {
 		r := &results[i]
@@ -188,6 +227,16 @@ func main() {
 		rejections += r.rejections
 		checkpoints += r.checkpoints
 		lat.Merge(&r.lat)
+		check.Merge(&r.check)
+		rate = append(rate, float64(r.events)/r.elapsed.Seconds())
+		if r.lat.Count() > 0 {
+			gateP50 = append(gateP50, us(r.lat.Percentile(50)))
+			gateP99 = append(gateP99, us(r.lat.Percentile(99)))
+		}
+		if r.check.Count() > 0 {
+			checkP50 = append(checkP50, us(r.check.Percentile(50)))
+			checkP99 = append(checkP99, us(r.check.Percentile(99)))
+		}
 	}
 	fmt.Printf("armus-loadgen: %d events (%d mutations, %d checkpoints, %d gate rejections) in %v = %.0f events/s\n",
 		events, mutations, checkpoints, rejections, elapsed, float64(events)/elapsed.Seconds())
@@ -195,6 +244,12 @@ func main() {
 		fmt.Printf("armus-loadgen: gate latency p50=%v p99=%v max=%v over %d round trips\n",
 			lat.Percentile(50), lat.Percentile(99), lat.Max(), lat.Count())
 	}
+	if check.Count() > 0 {
+		fmt.Printf("armus-loadgen: checkpoint latency p50=%v p99=%v max=%v over %d round trips\n",
+			check.Percentile(50), check.Percentile(99), check.Max(), check.Count())
+	}
+	fmt.Printf("armus-loadgen: per client (min/median/max): events/s %s | gate p50 %s p99 %s µs | checkpoint p50 %s p99 %s µs\n",
+		rate, gateP50, gateP99, checkP50, checkP99)
 	if *debugURL != "" {
 		// Server-side attribution of the latency just measured from the
 		// outside: where a gate's time went (queue wait vs verifier work vs
@@ -259,3 +314,65 @@ func loadSources(glob string, simSeeds int, m core.Mode) ([]source, error) {
 	}
 	return out, nil
 }
+
+// idBits is the shift of the per-client id offset in a shared session:
+// recorded task and phaser ids must stay below it.
+const idBits = 40
+
+// offsetTrace copies tr with every task and phaser id moved up by off, so
+// replays sharing a session never name each other's tasks or phasers.
+func offsetTrace(tr *trace.Trace, off int64) *trace.Trace {
+	out := &trace.Trace{Label: tr.Label, Mode: tr.Mode, Events: make([]trace.Event, len(tr.Events))}
+	task := func(t deps.TaskID) deps.TaskID { return t + deps.TaskID(off) }
+	res := func(rs []deps.Resource) []deps.Resource {
+		o := make([]deps.Resource, len(rs))
+		for i, r := range rs {
+			o[i] = deps.Resource{Phaser: r.Phaser + deps.PhaserID(off), Phase: r.Phase}
+		}
+		return o
+	}
+	for i, e := range tr.Events {
+		e.Task = task(e.Task)
+		e.Phaser += deps.PhaserID(off)
+		regs := make([]deps.Reg, len(e.Status.Regs))
+		for k, r := range e.Status.Regs {
+			regs[k] = deps.Reg{Phaser: r.Phaser + deps.PhaserID(off), Phase: r.Phase}
+		}
+		e.Status = deps.Blocked{Task: task(e.Status.Task), WaitsFor: res(e.Status.WaitsFor), Regs: regs}
+		tasks := make([]deps.TaskID, len(e.Tasks))
+		for k, t := range e.Tasks {
+			tasks[k] = task(t)
+		}
+		e.Tasks, e.Resources = tasks, res(e.Resources)
+		out.Events[i] = e
+	}
+	return out
+}
+
+// maxID returns the largest task or phaser id tr names.
+func maxID(tr *trace.Trace) int64 {
+	var m int64
+	for _, e := range tr.Events {
+		m = max(m, int64(e.Task), int64(e.Phaser), int64(e.Status.Task))
+		for _, r := range e.Status.WaitsFor {
+			m = max(m, int64(r.Phaser))
+		}
+		for _, r := range e.Status.Regs {
+			m = max(m, int64(r.Phaser))
+		}
+	}
+	return m
+}
+
+// spread is one figure per client, printed as min/median/max.
+type spread []float64
+
+func (s spread) String() string {
+	if len(s) == 0 {
+		return "-"
+	}
+	sort.Float64s(s)
+	return fmt.Sprintf("%.0f/%.0f/%.0f", s[0], s[len(s)/2], s[len(s)-1])
+}
+
+func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }

@@ -41,6 +41,8 @@ type ReplayStats struct {
 	// only), as a fixed-bucket µs histogram: cheap enough to leave on
 	// under load, stable percentiles across samples.
 	Gate LatencyHist
+	// Check holds one round-trip time per checkpoint, in both modes.
+	Check LatencyHist
 }
 
 // ReplayTrace streams a recorded trace through c's session and
@@ -73,7 +75,9 @@ func ReplayTrace(c *Client, tr *trace.Trace, o ReplayOptions) (*ReplayStats, err
 		if o.CheckEvery <= 0 || st.Mutations%o.CheckEvery != 0 {
 			return nil
 		}
+		start := time.Now()
 		got, err := c.Checkpoint()
+		st.Check.Observe(time.Since(start))
 		if err != nil {
 			return err
 		}

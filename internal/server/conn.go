@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"armus/internal/core"
@@ -24,28 +25,27 @@ import (
 // executor split.
 const batchesPerConn = 4
 
-// conn is one accepted client connection: a read loop that only decodes
-// and enqueues (the session executor does all verification), and a writer
-// goroutine flushing the coalesce buffer responses are encoded into.
+// conn is one accepted client connection: a read loop that decodes and
+// submits batches (running the session executor when its role is free),
+// and a writer goroutine for the responses the read loop does not write.
 type conn struct {
 	srv  *Server
 	nc   net.Conn
 	sess *session
 
 	// free is the decode-batch ring; batches cycle read loop -> session
-	// queue -> executor -> back here. pushed (read-loop local) and applied
-	// (executor-written) count batches through that cycle; their gap is
-	// the connection's in-flight work, and awaitApplied closes it before
-	// teardown so trailing responses make the writer's final flush.
+	// queue -> executor role -> back here. pushed (read-loop local) and
+	// applied (executor-written) count batches through that cycle; their
+	// gap is the connection's in-flight work, and awaitApplied closes it
+	// before teardown so trailing responses make the writer's final flush.
 	free    chan *batch
 	pushed  int64
 	applied atomic.Int64
 
 	// Egress: responses are encoded under wmu into wbuf (bounded by
-	// response count, wcount) and the writer is nudged through wsig; the
-	// writer swaps the buffer out and writes it with a single Write call,
-	// so one syscall carries every response that accumulated since the
-	// last flush.
+	// response count, wcount) and leave in one syscall per flush: the read
+	// loop's own after it ran the executor, or the writer goroutine's,
+	// nudged through wsig.
 	wmu        sync.Mutex
 	wbuf       []byte
 	wcount     int
@@ -57,6 +57,18 @@ type conn struct {
 	// latency — how long a verdict sat buffered before its syscall finished.
 	wfirstNs int64
 
+	// fmu serializes flushes and owns spare (wbuf's alternate) and broken.
+	// raw is nil without a file descriptor (net.Pipe) or off Unix (see
+	// initRaw); rawWrite, writeFD bound once, and rawBuf/rawN spare the
+	// inline flush a closure.
+	fmu      sync.Mutex
+	spare    []byte
+	broken   bool
+	raw      syscall.RawConn
+	rawWrite func(fd uintptr) bool
+	rawBuf   []byte
+	rawN     int
+
 	// Tee coalescing (read-loop local): pending archive frames for the
 	// segment store, flushed by size/age in tee() and at read-loop end.
 	teePending *segment.Batch
@@ -65,8 +77,21 @@ type conn struct {
 	subscribe bool
 	slow      atomic.Bool
 	// checkSeq numbers this connection's checkpoints; only the session
-	// executor (single-writer) touches it.
+	// executor role's holder (single-writer) touches it.
 	checkSeq uint64
+}
+
+// newConn wraps a socket (nil in tests that inject batches directly).
+func newConn(s *Server, nc net.Conn) *conn {
+	c := &conn{
+		srv:        s,
+		nc:         nc,
+		wsig:       make(chan struct{}, 1),
+		done:       make(chan struct{}),
+		writerDone: make(chan struct{}),
+	}
+	c.initRaw()
+	return c
 }
 
 func (s *Server) handleConn(nc net.Conn) {
@@ -75,13 +100,7 @@ func (s *Server) handleConn(nc net.Conn) {
 	s.m.ConnsOpen.Add(1)
 	defer s.m.ConnsOpen.Add(-1)
 
-	c := &conn{
-		srv:        s,
-		nc:         nc,
-		wsig:       make(chan struct{}, 1),
-		done:       make(chan struct{}),
-		writerDone: make(chan struct{}),
-	}
+	c := newConn(s, nc)
 	s.mu.Lock()
 	if s.closed || s.draining {
 		s.mu.Unlock()
@@ -138,12 +157,13 @@ func (s *Server) handleConn(nc net.Conn) {
 	}
 	defer sess.detach(c)
 	c.send(proto.Response{Kind: proto.RespHello, Mode: uint8(sess.mode), Resumed: resumed})
+	c.flush(true)
 
 	// The ingest loop: take a free batch (blocking here is the
 	// backpressure), decode into it with the zero-alloc NextInto path,
 	// greedily folding in whatever further frames are already buffered,
-	// and hand it to the session executor. This loop never touches the
-	// verifier engine.
+	// and submit it — which runs the session executor on this goroutine
+	// when no other read loop is running it.
 	c.free = make(chan *batch, batchesPerConn)
 	for i := 0; i < batchesPerConn; i++ {
 		c.free <- &batch{c: c, events: make([]trace.Event, s.cfg.MaxBatch)}
@@ -168,7 +188,7 @@ func (s *Server) handleConn(nc net.Conn) {
 				c.tee(sess, b)
 			}
 			c.pushed++
-			sess.enqueue(b)
+			sess.submit(b)
 		} else {
 			c.free <- b
 		}
@@ -193,10 +213,11 @@ func (s *Server) handleConn(nc net.Conn) {
 }
 
 // awaitApplied waits (bounded, defensively) until the session executor
-// has processed every batch this connection enqueued. The executor
-// outlives every read loop by construction, so this terminates quickly;
-// the deadline only guards against a wedged engine taking teardown down
-// with it.
+// has processed every batch this connection submitted. A pending batch is
+// queued behind the role's holder (a read loop, or the goroutine it handed
+// the role to), which drains it before releasing, so this terminates
+// quickly; the deadline only guards against a wedged engine taking
+// teardown down with it.
 func (c *conn) awaitApplied() {
 	if c.pushed == 0 || c.applied.Load() >= c.pushed {
 		return
@@ -216,7 +237,7 @@ func (c *conn) awaitApplied() {
 
 // recycle returns a processed batch to its connection's free ring. Every
 // batch of the ring is in exactly one place (ring, read loop, queue, or
-// executor), so the ring always has room.
+// executor role), so the ring always has room.
 func (c *conn) recycle(b *batch) {
 	select {
 	case c.free <- b:
@@ -236,12 +257,12 @@ func (c *conn) refuse(code byte, err error) {
 	c.srv.cfg.Logf("armus-serve: refused connection (%s): %v", proto.ByeString(code), err)
 }
 
-// send encodes a response into the connection's coalesce buffer and
-// nudges the writer; it never blocks on the socket. The buffer is bounded
-// by RESPONSE COUNT: a peer holding more than QueueLen undelivered
-// responses is not draining its read side while we still have verdicts to
-// deliver — the slow-consumer policy is to disconnect it (bounded memory
-// beats an unbounded backlog). Returns false if the response was dropped
+// send encodes a response into the connection's coalesce buffer; it never
+// touches the socket — a flush does. The buffer is bounded by RESPONSE
+// COUNT: a peer holding more than QueueLen undelivered responses is not
+// draining its read side while we still have verdicts to deliver — the
+// slow-consumer policy is to disconnect it (bounded memory beats an
+// unbounded backlog). Returns false if the response was dropped
 // (teardown, overflow, encode failure).
 func (c *conn) send(r proto.Response) bool {
 	if c.slow.Load() {
@@ -275,11 +296,15 @@ func (c *conn) send(r proto.Response) bool {
 		}
 		return false
 	}
+	return true
+}
+
+// nudge wakes the writer goroutine to flush the coalesce buffer.
+func (c *conn) nudge() {
 	select {
 	case c.wsig <- struct{}{}:
 	default:
 	}
-	return true
 }
 
 // queueDepth reports the current egress backlog in responses (metrics
@@ -291,48 +316,72 @@ func (c *conn) queueDepth() int {
 	return d
 }
 
-// writeLoop is the connection's single socket writer: woken through wsig,
-// it swaps the coalesce buffer for its spare and writes the whole thing
-// with one Write call — under load dozens of gate verdicts leave per
-// syscall. Write errors close the socket (the read loop notices); the
-// loop keeps swapping so send never sticks. The two buffers alternate, so
-// steady state allocates nothing.
+// writeLoop is the connection's writer goroutine: woken through wsig, it
+// flushes what the read loop did not write itself, and does the final
+// flush once the read side is done.
 func (c *conn) writeLoop() {
 	defer close(c.writerDone)
-	var spare []byte
-	broken := false
-	flush := func() {
-		c.wmu.Lock()
-		buf := c.wbuf
-		first := c.wfirstNs
-		c.wbuf = spare[:0]
-		c.wcount = 0
-		c.wfirstNs = 0
-		c.wmu.Unlock()
-		if len(buf) > 0 && !broken {
-			if _, err := c.nc.Write(buf); err != nil {
-				broken = true
-				c.nc.Close()
-			}
-			// Flush stage: oldest buffered response to syscall completion.
-			// One observation per flush — the coalescing is the point.
-			if first != 0 {
-				ns := obs.Nanotime() - first
-				c.srv.m.StageFlush.Observe(ns)
-				if ss := c.sess; ss != nil {
-					ss.ob.Flush.Observe(ns)
-				}
-			}
-		}
-		spare = buf[:0]
-	}
 	for {
 		select {
 		case <-c.wsig:
-			flush()
+			c.flush(false)
 		case <-c.done:
-			flush()
+			c.flush(false)
 			return
+		}
+	}
+}
+
+// flush writes the whole coalesce buffer with one syscall, holding fmu so
+// responses leave in order. The writer blocks in Write; a write error
+// closes the socket (the read loop notices) and later flushes discard. A
+// read loop (inline) must never block on its peer, or it would stop
+// reading and the slow-consumer bound could never trip: it makes one
+// non-blocking write(2) and leaves the rest to the writer, back at the
+// head of the buffer and still counted against QueueLen.
+func (c *conn) flush(inline bool) {
+	if !inline {
+		c.fmu.Lock()
+	} else if c.raw == nil || !c.fmu.TryLock() {
+		c.nudge()
+		return
+	}
+	defer c.fmu.Unlock()
+	c.wmu.Lock()
+	buf, first, count := c.wbuf, c.wfirstNs, c.wcount
+	c.wbuf, c.wcount, c.wfirstNs = c.spare[:0], 0, 0
+	c.wmu.Unlock()
+	n := len(buf)
+	switch {
+	case n == 0 || c.broken:
+		first = 0 // nothing to write, or discarded
+	case inline:
+		// An error writes nothing; the writer's Write then reports it.
+		c.rawBuf, c.rawN = buf, 0
+		_ = c.raw.Write(c.rawWrite)
+		n, c.rawBuf = c.rawN, nil
+	default:
+		if _, err := c.nc.Write(buf); err != nil {
+			c.broken = true
+			c.nc.Close()
+		}
+	}
+	if n < len(buf) {
+		rest := copy(buf, buf[n:])
+		c.wmu.Lock()
+		c.wbuf, c.spare = append(buf[:rest], c.wbuf...), c.wbuf[:0]
+		c.wcount += count
+		c.wfirstNs = first
+		c.wmu.Unlock()
+		c.nudge()
+		return
+	}
+	c.spare = buf[:0]
+	if first != 0 { // flush stage: oldest buffered response to write done
+		ns := obs.Nanotime() - first
+		c.srv.m.StageFlush.Observe(ns)
+		if ss := c.sess; ss != nil {
+			ss.ob.Flush.Observe(ns)
 		}
 	}
 }

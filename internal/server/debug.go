@@ -20,7 +20,7 @@ import (
 type debugSession struct {
 	Name     string `json:"name"`
 	Mode     string `json:"mode"`
-	Executor string `json:"executor"` // "running" | "parked"
+	Executor string `json:"executor"` // "running" | "idle"
 	// QueueDepth is the executor ingest backlog (queued batches); Conns
 	// the attached connections; BlockedTasks the session's current
 	// blocked-status count — the verifier's working-set size.
@@ -96,8 +96,8 @@ func (s *Server) handleDebugSessions(w http.ResponseWriter, r *http.Request) {
 				LastDeadlocked: ss.ob.LastDeadlocked.Load(),
 				Stages:         ss.ob.StagesOf(),
 			}
-			if ss.execState.Load() == execParked {
-				row.Executor = "parked"
+			if ss.execState.Load() == execIdle {
+				row.Executor = "idle"
 			}
 			ss.mu.Lock()
 			row.Conns = len(ss.conns)

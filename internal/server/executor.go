@@ -12,125 +12,112 @@ import (
 	"armus/internal/trace"
 )
 
-// The session executor: one goroutine per session that owns the verifier
-// engine outright. Read loops decode and enqueue; only the executor
-// mutates deps.State or asks the verifier anything. Single-writer is what
-// lets the gate hot path drop every lock: the paper's Definition 4.1 makes
-// a blocked status a pure function of the blocked task, so merging the
+// The session executor: a ROLE, not a goroutine. The read loop that finds
+// it free after pushing its batch drains the session queue inline — its
+// own batch and whatever other connections pushed meanwhile (flat
+// combining, Hendler et al., SPAA 2010). Only the role holder mutates
+// deps.State or asks the verifier anything. Single-writer is what lets the
+// gate hot path drop every lock: the paper's Definition 4.1 makes a
+// blocked status a pure function of the blocked task, so merging the
 // statuses of many connections is order-insensitive per task — any
 // serialization the queue happens to produce yields the same verdicts an
-// in-process verifier would have, and one owner goroutine is the cheapest
-// serializer there is.
+// in-process verifier would have.
 
-// Executor states (session.execState).
+// Executor role states (session.execState).
 const (
-	execRunning int32 = iota
-	execParked
+	execIdle int32 = iota
+	execRunning
 )
 
-// enqueue hands a decoded batch to the session executor, waking it if it
-// parked. Called by connection read loops only; the executor lifecycle
-// guarantees it outlives every producer (see shutdownExecutor).
-//
-// The no-lost-wakeup argument: push increments q.depth before the node is
-// published, and both sides use sequentially consistent atomics. If the
-// executor's post-park depth check misses this push, then in the total
-// order the check preceded the increment, so the parked store preceded
-// this state load — the producer sees execParked and signals. If it does
-// not miss it, the executor unparks itself. Either way the batch is
-// processed.
-func (ss *session) enqueue(b *batch) {
-	if b.decNs == 0 {
-		// No read-loop decode stamp (tests, internal injection): the
-		// queue-wait stage starts here.
-		b.enqNs = obs.Nanotime()
-	}
+// combineLimit bounds a read loop's combining pass: at the next batch of
+// another connection after this many, it hands the still-held role to a
+// fresh goroutine and goes back to reading its own socket, which a shared
+// session's other connections could otherwise keep unread indefinitely.
+const combineLimit = 8
+
+// submit pushes a decoded batch and, if the executor role is free, takes
+// it, drains the queue and writes the caller's own responses. Called by
+// the read loops only. No batch is ever stranded: push increments q.depth
+// before the node is published (seq-cst atomics throughout), and a holder
+// re-checks depth after its release store. A producer whose increment
+// preceded the re-check is served by the holder retaking the role; one
+// whose increment followed it finds the role free with its own CAS. So a
+// read loop's batches are applied or queued behind a holder that drains
+// them, and teardown waits for them (awaitApplied): a session with no
+// read loop attached has an empty queue.
+func (ss *session) submit(b *batch) {
+	own := b.c
 	ss.q.push(b)
-	if ss.execState.Load() == execParked &&
-		ss.execState.CompareAndSwap(execParked, execRunning) {
-		select {
-		case ss.wake <- struct{}{}:
-		default:
-		}
+	if ss.execState.CompareAndSwap(execIdle, execRunning) {
+		ss.drain(own, ss.q.pop())
+		own.flush(true)
 	}
 }
 
-// runExecutor is the session's event loop: pop, process, park when idle,
-// drain and exit on stop.
-func (ss *session) runExecutor() {
-	defer close(ss.execDone)
-	for {
-		if b := ss.q.pop(); b != nil {
-			ss.process(b)
-			continue
-		}
-		if ss.q.depth.Load() != 0 {
-			// A producer is mid-push; its link is one store away.
-			runtime.Gosched()
-			continue
-		}
-		select {
-		case <-ss.stop:
-			ss.drainQueue()
-			return
-		default:
-		}
-		// Park. Publish the parked state first, then re-check the depth:
-		// a push that raced the publish is either seen here (un-park
-		// ourselves) or saw execParked and is signalling wake.
-		ss.execState.Store(execParked)
-		if ss.q.depth.Load() != 0 {
-			if ss.execState.CompareAndSwap(execParked, execRunning) {
-				continue
-			}
-		}
-		ss.srv.m.ExecParks.Add(1)
-		select {
-		case <-ss.wake:
-			// The waking producer already moved execState to running.
-		case <-ss.stop:
-			ss.execState.Store(execRunning)
-			ss.drainQueue()
-			return
-		}
+// drain runs the held executor role from batch b (nil: none popped yet)
+// until the queue is empty, then releases it. own is the connection of
+// the read loop holding the role; nil marks a hand-off goroutine, which
+// srv.wg counts and combineLimit does not bound.
+func (ss *session) drain(own *conn, b *batch) {
+	if own == nil {
+		defer ss.srv.wg.Done()
 	}
-}
-
-// drainQueue processes everything enqueued before stop. stop is only
-// closed once no producer can push again, so the queue strictly shrinks.
-func (ss *session) drainQueue() {
-	for {
-		b := ss.q.pop()
+	ss.own = own
+	for served := 0; ; b = ss.q.pop() {
 		if b == nil {
 			if ss.q.depth.Load() != 0 {
-				runtime.Gosched()
+				runtime.Gosched() // a producer is mid-push; its link is one store away
 				continue
 			}
-			return
+			ss.own = nil // the session outlives the connection; do not pin it
+			ss.execState.Store(execIdle)
+			if ss.q.depth.Load() == 0 || !ss.execState.CompareAndSwap(execIdle, execRunning) {
+				return
+			}
+			ss.own = own
+			continue
+		}
+		if b.c != own {
+			if ss.own != nil {
+				// own's answers must not wait out a long drain.
+				ss.own = nil
+				own.nudge()
+			}
+			if own != nil && served == combineLimit {
+				ss.srv.wg.Add(1) // Server.Close waits for the hand-off
+				go ss.drain(nil, b)
+				return
+			}
+			served++
+			ss.srv.m.ExecHandoffs.Add(1)
 		}
 		ss.process(b)
 	}
 }
 
+// respond buffers an executor response for c, nudging c's writer unless
+// c's own read loop holds the role and so writes the response itself.
+func (ss *session) respond(c *conn, r proto.Response) {
+	if c.send(r) && c != ss.own {
+		c.nudge()
+	}
+}
+
 // process applies one decoded batch — the ingest hot path, running on the
-// executor goroutine with exclusive engine ownership: no lock anywhere.
+// executor role's holder with exclusive engine ownership: no lock anywhere.
 // Steady-state (same tasks re-blocking, warm pools and buffers) it
 // performs zero heap allocations — guarded by TestExecutorPathZeroAlloc.
 func (ss *session) process(b *batch) {
-	// Queue-wait stage: decode (or enqueue) to executor pickup. The stamp
-	// diffs and histogram adds are a handful of atomics — the path stays
-	// allocation-free (TestExecutorPathZeroAlloc, TestObsStampPathZeroAlloc).
+	// Queue-wait stage: decode to executor pickup (batches injected
+	// without a read loop carry no stamp). The stamp diffs and histogram
+	// adds are a handful of atomics — the path stays allocation-free
+	// (TestExecutorPathZeroAlloc).
 	tDeq := obs.Nanotime()
-	start := b.decNs
-	if start == 0 {
-		start = b.enqNs
-	}
-	if start != 0 {
-		ss.batchQueueNs = tDeq - start
+	ss.batchQueueNs = 0
+	if b.decNs != 0 {
+		ss.batchQueueNs = tDeq - b.decNs
 		ss.srv.m.StageQueueWait.Observe(ss.batchQueueNs)
 		ss.ob.QueueWait.Observe(ss.batchQueueNs)
-	} else {
-		ss.batchQueueNs = 0
 	}
 	c := b.c
 	events := b.events[:b.n]
@@ -157,7 +144,7 @@ func (ss *session) process(b *batch) {
 			c.checkSeq++
 			ss.srv.m.Checkpoints.Add(1)
 			d := ss.verdict()
-			c.send(proto.Response{
+			ss.respond(c, proto.Response{
 				Kind:       proto.RespVerdict,
 				Seq:        c.checkSeq,
 				Deadlocked: d,
@@ -203,52 +190,39 @@ func (ss *session) gate(c *conn, e *trace.Event) {
 	t0 := obs.Nanotime()
 	ss.st.SetBlocked(e.Status)
 	cyc, _ := ss.st.CycleThrough(e.Status.Task, &ss.sc)
+	r := proto.Response{Kind: proto.RespGate, Task: e.Status.Task, Allowed: cyc == nil}
 	if cyc == nil {
 		ss.blocked[e.Status.Task] = struct{}{}
 		ss.srv.m.GateAllowed.Add(1)
-		c.send(proto.Response{Kind: proto.RespGate, Task: e.Status.Task, Allowed: true})
-		rec := obs.GateRecord{
-			Ordinal:  uint64(ss.ob.Gates.Add(1)),
-			Kind:     obs.RecordGate,
-			Task:     int64(e.Status.Task),
-			QueueNs:  ss.batchQueueNs,
-			VerifyNs: obs.Nanotime() - t0,
-			AtNs:     t0,
+	} else {
+		ss.st.Clear(e.Status.Task)
+		ss.srv.m.GateRejected.Add(1)
+		ss.ob.Rejections.Add(1)
+		if ss.srv.seg != nil {
+			ss.teeVerdict(trace.VerdictRejected, e.Status, cyc.Resources)
 		}
-		ss.ob.Flight.Record(rec)
-		// Slow-gate trigger: server-side time (queue wait plus this gate's
-		// own work) over the operator threshold dumps the flight ring.
-		if sg := ss.srv.cfg.SlowGate; sg > 0 && rec.QueueNs+rec.VerifyNs >= int64(sg) {
-			ss.dumpFlight("slow-gate", rec)
-		}
-		return
+		// cyc is freshly allocated by the deadlock path; handing its slices
+		// to the coalesce buffer is safe.
+		r.Tasks, r.Resources = cyc.Tasks, cyc.Resources
 	}
-	ss.st.Clear(e.Status.Task)
-	ss.srv.m.GateRejected.Add(1)
-	if ss.srv.seg != nil {
-		ss.teeVerdict(trace.VerdictRejected, e.Status, cyc.Resources)
-	}
-	// cyc is freshly allocated by the deadlock path; handing its slices
-	// to the coalesce buffer is safe.
-	c.send(proto.Response{
-		Kind:      proto.RespGate,
-		Task:      e.Status.Task,
-		Allowed:   false,
-		Tasks:     cyc.Tasks,
-		Resources: cyc.Resources,
-	})
+	ss.respond(c, r)
 	rec := obs.GateRecord{
 		Ordinal:  uint64(ss.ob.Gates.Add(1)),
 		Kind:     obs.RecordGate,
 		Task:     int64(e.Status.Task),
-		Rejected: true,
+		Rejected: cyc != nil,
 		QueueNs:  ss.batchQueueNs,
 		VerifyNs: obs.Nanotime() - t0,
 		AtNs:     t0,
 	}
-	ss.ob.Rejections.Add(1)
 	ss.ob.Flight.Record(rec)
-	ss.dumpFlight("gate-rejected", rec)
+	if cyc != nil {
+		ss.dumpFlight("gate-rejected", rec)
+	} else if sg := ss.srv.cfg.SlowGate; sg > 0 && rec.QueueNs+rec.VerifyNs >= int64(sg) {
+		// Slow-gate trigger: server-side time (queue wait plus this gate's
+		// own work) over the operator threshold dumps the flight ring.
+		ss.dumpFlight("slow-gate", rec)
+	}
 }
 
 // verdict answers "is the session state deadlocked right now" with the
@@ -281,7 +255,7 @@ func (ss *session) report() {
 		ss.mu.Lock()
 		for c := range ss.conns {
 			if c.subscribe {
-				c.send(proto.Response{
+				ss.respond(c, proto.Response{
 					Kind:      proto.RespReport,
 					Tasks:     derr.Cycle.Tasks,
 					Resources: derr.Cycle.Resources,
@@ -320,7 +294,7 @@ type flightDump struct {
 }
 
 // dumpFlight emits the session's flight ring as one structured JSON log
-// line. Runs on the executor, off the steady-state path (rejections and
+// line. Runs on the executor role, off the steady-state path (rejections and
 // threshold breaches only) — allocation here is acceptable, a dump storm
 // is not, hence the rate limit.
 func (ss *session) dumpFlight(trigger string, rec obs.GateRecord) {

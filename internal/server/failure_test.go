@@ -142,21 +142,17 @@ func TestMalformedFrameRejected(t *testing.T) {
 func TestSlowConsumerDisconnect(t *testing.T) {
 	srv := &Server{cfg: Config{QueueLen: 4, Logf: func(string, ...any) {}}.withDefaults()}
 	ss := newSession(srv, "slow", core.ModeDetect, nil)
-	defer func() {
-		ss.shutdownExecutor()
-		ss.closeEngine()
-	}()
+	defer ss.closeEngine()
 	p1, p2 := net.Pipe()
 	defer p2.Close()
 	// No writeLoop: the coalesce buffer never drains, like a peer that
 	// stopped reading while checkpoint verdicts pile up.
-	c := &conn{srv: srv, nc: p1,
-		wsig: make(chan struct{}, 1), done: make(chan struct{})}
+	c := newConn(srv, p1)
 	b := &batch{c: c, events: make([]trace.Event, 8), n: 8}
 	for i := range b.events {
 		b.events[i] = trace.Event{Kind: trace.KindVerdict, Verdict: trace.VerdictReported}
 	}
-	ss.enqueue(b)
+	ss.submit(b)
 	waitFor(t, func() bool { return c.applied.Load() >= 1 })
 	if got := srv.m.SlowDisconnects.Load(); got != 1 {
 		t.Fatalf("slow disconnects = %d, want 1", got)
@@ -171,10 +167,71 @@ func TestSlowConsumerDisconnect(t *testing.T) {
 	}
 	// Later sends are dropped without a second disconnect.
 	b2 := &batch{c: c, events: []trace.Event{{Kind: trace.KindVerdict, Verdict: trace.VerdictReported}}, n: 1}
-	ss.enqueue(b2)
+	ss.submit(b2)
 	waitFor(t, func() bool { return c.applied.Load() >= 2 })
 	if got := srv.m.SlowDisconnects.Load(); got != 1 {
 		t.Fatalf("slow disconnect double-counted: %d", got)
+	}
+}
+
+// TestSlowConsumerThroughReadLoop: a real client streams gated blocks and
+// checkpoints over loopback and never reads an answer. The read loop that
+// executes its batches writes their answers itself, so it must never block
+// on the full socket: it keeps reading, the backlog crosses QueueLen, and
+// the connection is disconnected exactly once, with its read loop and
+// writer both gone.
+func TestSlowConsumerThroughReadLoop(t *testing.T) {
+	// Batches small enough that one batch's answers never cross QueueLen
+	// alone: only answers left unwritten across batches can.
+	s := testServer(t, Config{QueueLen: 64, MaxBatch: 16})
+	nc, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	tw, err := trace.NewWriter(nc, proto.Handshake{Session: "stalled"}.Label(), uint8(core.ModeAvoid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A chain of ring-1 admitted blocks; the block closing the ring is
+	// refused with the whole cycle, so each refusal is a large answer and
+	// the socket buffers fill after a few thousand of them.
+	const ring = 64
+	id := func(i int64) int64 { return 1<<40 + i }
+	link := func(i int64) trace.Event {
+		return trace.Event{Kind: trace.KindBlock, Task: deps.TaskID(id(i)), Status: status(id(i),
+			[]deps.Resource{res(id(i%ring+1), 1)}, []deps.Reg{reg(id(i), 0)})}
+	}
+	go func() {
+		// Ends once the server drops the connection and a write fails.
+		var err error
+		for i := int64(1); i < ring && err == nil; i++ {
+			err = tw.WriteEvent(link(i))
+		}
+		for i := 0; err == nil; i++ {
+			err = tw.WriteEvent(link(ring))
+			if err == nil && i%8 == 0 {
+				err = tw.WriteEvent(trace.Event{Kind: trace.KindVerdict, Verdict: trace.VerdictReported})
+			}
+			if err == nil && i%4 == 0 {
+				err = tw.Flush()
+			}
+		}
+	}()
+	deadline := time.Now().Add(20 * time.Second)
+	for s.Metrics().SlowDisconnects == 0 {
+		if time.Now().After(deadline) {
+			m := s.Metrics()
+			t.Fatalf("never-reading client not disconnected within 20s (rejected %d, queue depth %d)",
+				m.GateRejected, m.QueueDepth)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// ConnsOpen drops only after the read loop returned and the writer
+	// exited (handleConn waits for it).
+	waitFor(t, func() bool { return s.Metrics().ConnsOpen == 0 && s.activeConns() == 0 })
+	if got := s.Metrics().SlowDisconnects; got != 1 {
+		t.Fatalf("slow disconnects = %d, want 1", got)
 	}
 }
 

@@ -55,8 +55,7 @@ type Metrics struct {
 	Checkpoints  atomic.Int64 // counter: verdict checkpoints answered
 	Reports      atomic.Int64 // counter: deadlock reports pushed
 
-	ExecSpawned atomic.Int64 // counter: session executors spawned
-	ExecParks   atomic.Int64 // counter: executor park episodes (idle waits)
+	ExecHandoffs atomic.Int64 // counter: batches executed off the read loop that decoded them
 
 	MalformedConns  atomic.Int64 // counter: connections dropped for bad framing
 	SlowDisconnects atomic.Int64 // counter: connections dropped for a full coalesce buffer
@@ -67,7 +66,7 @@ type Metrics struct {
 
 	// Server-wide stage-latency histograms (internal/obs): where a gate's
 	// server-side time goes. Always on — each observation is a few atomic
-	// adds on the executor (queue-wait, verify) or the connection writer
+	// adds on the executor (queue-wait, verify) or whichever side flushes
 	// (flush). Per-session copies live in session.ob; these aggregate
 	// across sessions and survive session GC, which is what a Prometheus
 	// scrape needs (monotone cumulative series).
@@ -96,7 +95,7 @@ type MetricsSnapshot struct {
 	Events, Batches                           int64
 	GateAllowed, GateRejected                 int64
 	Checkpoints, Reports                      int64
-	ExecSpawned, ExecParks                    int64
+	ExecHandoffs                              int64
 	MalformedConns, SlowDisconnects           int64
 	// QueueDepth is the summed egress backlog (undelivered responses)
 	// over live connections; ExecQueueDepth is the summed executor ingest
@@ -138,8 +137,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 		GateRejected:       s.m.GateRejected.Load(),
 		Checkpoints:        s.m.Checkpoints.Load(),
 		Reports:            s.m.Reports.Load(),
-		ExecSpawned:        s.m.ExecSpawned.Load(),
-		ExecParks:          s.m.ExecParks.Load(),
+		ExecHandoffs:       s.m.ExecHandoffs.Load(),
 		MalformedConns:     s.m.MalformedConns.Load(),
 		SlowDisconnects:    s.m.SlowDisconnects.Load(),
 		BatchSum:           s.m.batchSum.Load(),
@@ -225,8 +223,7 @@ func (s *Server) Handler() http.Handler {
 			{"armus_serve_gate_rejected_total", "counter", "Avoidance blocks refused (deadlock would close).", snap.GateRejected},
 			{"armus_serve_checkpoints_total", "counter", "Verdict checkpoints answered.", snap.Checkpoints},
 			{"armus_serve_reports_total", "counter", "Deadlock reports pushed to subscribers.", snap.Reports},
-			{"armus_serve_exec_spawned_total", "counter", "Session executor goroutines spawned.", snap.ExecSpawned},
-			{"armus_serve_exec_parks_total", "counter", "Executor park episodes (idle waits).", snap.ExecParks},
+			{"armus_serve_exec_handoffs_total", "counter", "Batches executed by a goroutine other than the read loop that decoded them.", snap.ExecHandoffs},
 			{"armus_serve_malformed_conns_total", "counter", "Connections dropped for violating the trace framing.", snap.MalformedConns},
 			{"armus_serve_slow_disconnects_total", "counter", "Connections dropped for an overflowing coalesce buffer.", snap.SlowDisconnects},
 			{"armus_serve_queue_depth", "gauge", "Summed undelivered responses over live connections.", snap.QueueDepth},

@@ -34,8 +34,7 @@ var snapshotMetricNames = map[string]string{
 	"GateRejected":       "armus_serve_gate_rejected_total",
 	"Checkpoints":        "armus_serve_checkpoints_total",
 	"Reports":            "armus_serve_reports_total",
-	"ExecSpawned":        "armus_serve_exec_spawned_total",
-	"ExecParks":          "armus_serve_exec_parks_total",
+	"ExecHandoffs":       "armus_serve_exec_handoffs_total",
 	"MalformedConns":     "armus_serve_malformed_conns_total",
 	"SlowDisconnects":    "armus_serve_slow_disconnects_total",
 	"QueueDepth":         "armus_serve_queue_depth",

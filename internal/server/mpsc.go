@@ -17,30 +17,26 @@ type batch struct {
 	n      int           // events[:n] are valid
 	next   atomic.Pointer[batch]
 
-	// Stage-timing stamps (internal/obs Nanotime): decNs is taken by the
-	// read loop right after the batch is decoded, enqNs by enqueue right
-	// before the push. The executor's queue-wait observation prefers decNs
-	// (it includes the tee and the enqueue itself) and falls back to enqNs
-	// for batches injected without a read loop (tests, drains).
+	// decNs (internal/obs Nanotime) is stamped by the read loop right after
+	// the batch is decoded: the start of the executor's queue-wait stage.
 	decNs int64
-	enqNs int64
 }
 
 // mpsc is an intrusive Vyukov-style multi-producer single-consumer queue
 // of batches: producers push with one atomic swap plus one store, the
 // consumer pops without any atomic read-modify-write. depth is maintained
-// by the producers BEFORE the node becomes visible, which is what makes
-// the executor's park protocol lose no wakeups (see session.enqueue): a
-// consumer that observes depth == 0 after publishing its parked state is
-// guaranteed that any concurrent producer will observe the parked state
-// and signal.
+// by the producers BEFORE the node becomes visible, which is what lets the
+// executor role strand no batch (see session.drain): a holder that
+// observes depth == 0 after releasing the role is guaranteed that any
+// concurrent producer will find the role free and take it. The single
+// consumer is whoever holds the role.
 //
 // pop only returns a node once the consumer cursor has advanced past it,
 // so a returned batch is fully detached and may be recycled (re-pushed,
 // even to a different mpsc) immediately.
 type mpsc struct {
 	head  atomic.Pointer[batch] // most recently pushed node
-	tail  *batch                // consumer cursor (single consumer)
+	tail  *batch                // consumer cursor (role holder only)
 	stub  batch
 	depth atomic.Int64 // pushed minus popped; also the queue-depth gauge
 }

@@ -127,7 +127,7 @@ func TestDebugSessionsEndpoint(t *testing.T) {
 	if row.Name != "dbg" || row.Mode != "avoid" {
 		t.Fatalf("session row = %+v", row)
 	}
-	if row.Executor != "running" && row.Executor != "parked" {
+	if row.Executor != "running" && row.Executor != "idle" {
 		t.Fatalf("executor state %q", row.Executor)
 	}
 	if row.Conns != 1 || row.BlockedTasks != gates || row.Gates != gates ||

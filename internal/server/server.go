@@ -26,17 +26,18 @@
 //     once warm) or detection mode (mutations apply unconditionally, an
 //     observe-mode core.Verifier answers CheckNow per batch, and
 //     deadlock transitions are pushed to subscribed connections).
-//   - Each session owns ONE EXECUTOR goroutine (executor.go): the single
-//     writer of its verifier state, fed by a lock-free MPSC queue
-//     (mpsc.go) of decoded batches. Per-connection read loops only decode
-//     (trace.Reader.NextInto into recycled batches) and enqueue — no lock
-//     anywhere on the gate hot path. Ingress backpressure is the TCP
-//     window: a connection's batch ring running empty stops its read loop
-//     and the kernel stops the sender. Egress is a per-connection
-//     coalesce buffer flushed by a writer goroutine in single Write calls
-//     (many responses per syscall), bounded by response count: a
-//     connection that does not drain its read side is disconnected
-//     (slow-consumer policy) rather than buffered without bound.
+//   - Each session has ONE EXECUTOR ROLE (executor.go): the single writer
+//     of its verifier state, fed by a lock-free MPSC queue (mpsc.go) of
+//     decoded batches. A read loop decodes (trace.Reader.NextInto into
+//     recycled batches), pushes, and drains the queue itself unless
+//     another read loop holds the role — no lock anywhere on the gate hot
+//     path. Ingress backpressure is the TCP window: a connection's batch
+//     ring running empty stops its read loop and the kernel stops the
+//     sender. Egress is a per-connection coalesce buffer (many responses
+//     per syscall), written by the read loop without blocking or by a
+//     writer goroutine, and bounded by response count: a connection that
+//     does not drain its read side is disconnected (slow-consumer policy)
+//     rather than buffered without bound.
 //   - Sessions whose last connection has gone survive for a lease (so a
 //     crashed client can reconnect and resume), then a janitor driven by
 //     the injectable internal/clock garbage-collects them. Shutdown
@@ -44,7 +45,7 @@
 //     connections a grace to finish, then close.
 //   - With Config.SegmentDir set, every read loop additionally tees its
 //     decoded batches into the durable trace archive (internal/segment,
-//     tee.go) and executors append the server's verdict transitions —
+//     tee.go) and the executor appends the server's verdict transitions —
 //     making every session's ingest stream queryable and replayable
 //     after the fact. The tee never blocks verification; see
 //     docs/SEGMENT_FORMAT.md and docs/OPERATIONS.md.
@@ -237,7 +238,7 @@ type Server struct {
 	draining bool
 	closed   bool
 
-	wg        sync.WaitGroup // accept loop + connection handlers
+	wg        sync.WaitGroup // accept loop, connection handlers, executor hand-offs
 	sweepStop chan struct{}
 	sweepDone chan struct{}
 }
@@ -351,8 +352,8 @@ func (s *Server) attach(name string, mode core.Mode, c *conn) (*session, bool, e
 				s.cfg.Logf("armus-serve: session %q is owned by fleet member %s (serving anyway)", name, owner)
 			}
 		}
-		// One store round trip on the cold path, before the executor
-		// exists: the fresh engine is rehydrated before anything can race
+		// One store round trip on the cold path, before any connection
+		// attaches: the fresh engine is rehydrated before anything can race
 		// it, and the shard lock keeps a concurrent attach of the same
 		// session out.
 		snap := s.fetchSnapshot(name, mode)
@@ -420,15 +421,13 @@ func (s *Server) sweep() {
 			if expired {
 				delete(sh.m, name)
 				// No connection is attached and attach is excluded by the
-				// shard lock, so no producer can push: the executor drains
-				// whatever is queued and exits.
+				// shard lock, so nothing is queued (see submit) or can be.
 				//
-				// The GC tombstones ONLY the executor and its engine — the
+				// The GC tombstones ONLY the in-memory engine — the
 				// session's store snapshot is deliberately left intact, so
 				// a client reconnecting after the lease (or attaching on
 				// another fleet member) still rehydrates and resumes.
 				// Regression: TestGCLeavesSnapshotIntact.
-				ss.shutdownExecutor()
 				ss.closeEngine()
 				s.m.SessionsOpen.Add(-1)
 				s.m.SessionsGCed.Add(1)
@@ -471,6 +470,7 @@ func (s *Server) Shutdown() {
 	s.ln.Close()
 	for _, c := range conns {
 		c.send(proto.Response{Kind: proto.RespGoodbye, Code: proto.ByeDrain, Msg: "server draining"})
+		c.nudge()
 	}
 	if s.activeConns() > 0 {
 		graceTicks := int(s.cfg.DrainGrace / s.cfg.SweepPeriod)
@@ -508,29 +508,28 @@ func (s *Server) Close() {
 	close(s.sweepStop)
 	<-s.sweepDone
 	s.wg.Wait()
-	// Every read loop has exited (wg), so no producer survives: stop the
-	// executors (each drains its queue first), then release the engines.
+	// Every read loop and executor hand-off has exited (wg), so every
+	// queue is drained and no producer survives: release the engines.
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for name, ss := range sh.m {
 			delete(sh.m, name)
-			ss.shutdownExecutor()
 			ss.closeEngine()
 			s.m.SessionsOpen.Add(-1)
 		}
 		sh.mu.Unlock()
 	}
-	// Every executor has exited, so nothing can persist anymore: drain the
-	// persister and release the store client. Stored snapshots survive the
+	// No read loop is left to run the executor, so nothing can persist
+	// anymore: drain the persister and release the store client. Stored snapshots survive the
 	// server on purpose — they are what a replacement rehydrates from.
 	if s.db != nil {
 		close(s.persistCh)
 		<-s.persistDone
 		s.db.Close()
 	}
-	// Read loops (wg), the sweeper (sweepDone) and every executor are
-	// stopped above, so no tee producer survives: drain the archive queue
+	// Read loops (wg) and the sweeper (sweepDone) are stopped above, so no
+	// tee producer survives: drain the archive queue
 	// and seal every open segment. Sealed segments outlive the server on
 	// purpose — they are what an operator queries after an incident.
 	if s.seg != nil {

@@ -11,33 +11,31 @@ import (
 
 // session is one tenant: a named verifier state shared by every
 // connection that attached under its name, mutated exclusively by the
-// session's executor goroutine (executor.go). The engine mirrors the
-// replay pipelines (internal/trace/replay) on purpose — verdicts served
-// over the wire are the verdicts an in-process replay of the same event
-// stream computes, which is what the loadgen parity check asserts.
+// holder of its executor role (executor.go). The engine mirrors the replay
+// pipelines (internal/trace/replay) on purpose — verdicts served over the
+// wire are the verdicts an in-process replay of the same event stream
+// computes, which is what the loadgen parity check asserts.
 type session struct {
 	srv  *Server
 	name string
 	mode core.Mode
 
 	// mu owns the connection set and the janitor bookkeeping only. The
-	// verifier engine below is single-writer: the executor goroutine owns
-	// it outright, so the ingest hot path takes no lock at all.
+	// verifier engine below is single-writer: the executor role's holder
+	// owns it outright, so the ingest hot path takes no lock at all.
 	mu    sync.Mutex
 	conns map[*conn]struct{}
 	// idleTicks counts janitor sweeps with no attached connection; the
 	// lease is idleTicks * SweepPeriod.
 	idleTicks int
 
-	// q feeds the executor: read loops push decoded batches, the executor
-	// pops and applies them. execState/wake implement parking (see
-	// enqueue and runExecutor); stop/execDone bound the lifecycle.
+	// q feeds the executor: read loops push decoded batches, the role
+	// holder pops and applies them. execState is the role (see submit);
+	// own is the connection whose read loop holds it, nil while it serves
+	// other connections' batches. Executor-owned.
 	q         mpsc
 	execState atomic.Int32
-	wake      chan struct{}
-	stop      chan struct{}
-	stopOnce  sync.Once
-	execDone  chan struct{}
+	own       *conn
 
 	// Avoidance engine: the sharded incremental state plus the targeted
 	// gate query's scratch, exactly the machinery of the in-process
@@ -81,19 +79,16 @@ type session struct {
 	upsBuf            []deps.Blocked
 }
 
-// newSession builds a session, seeds its engine from a store snapshot
-// (snap may be nil — the common fresh-session case) and spawns its
-// executor. Seeding happens strictly before the spawn: the engine is not
-// yet shared, so rehydration needs no synchronization with the executor.
+// newSession builds a session and seeds its engine from a store snapshot
+// (snap may be nil — the common fresh-session case). Seeding happens before
+// any connection attaches: the engine is not yet shared, so rehydration
+// needs no synchronization with the executor role.
 func newSession(s *Server, name string, mode core.Mode, snap []deps.Blocked) *session {
 	ss := &session{
-		srv:      s,
-		name:     name,
-		mode:     mode,
-		conns:    make(map[*conn]struct{}),
-		wake:     make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		execDone: make(chan struct{}),
+		srv:   s,
+		name:  name,
+		mode:  mode,
+		conns: make(map[*conn]struct{}),
 	}
 	ss.q.init()
 	if mode == core.ModeAvoid {
@@ -119,8 +114,6 @@ func newSession(s *Server, name string, mode core.Mode, snap []deps.Blocked) *se
 		// does not push a duplicate report for the same cycle.
 		ss.wasDeadlocked = ss.ver.CheckNow() != nil
 	}
-	s.m.ExecSpawned.Add(1)
-	go ss.runExecutor()
 	return ss
 }
 
@@ -132,19 +125,9 @@ func (ss *session) detach(c *conn) {
 	ss.mu.Unlock()
 }
 
-// shutdownExecutor stops the executor (idempotent) and waits for it to
-// drain everything already enqueued. Callers must guarantee no producer
-// can push afterwards: the janitor calls it with zero attached
-// connections while holding the shard lock (attach is excluded), and
-// Server.Close calls it after every read loop has exited.
-func (ss *session) shutdownExecutor() {
-	ss.stopOnce.Do(func() { close(ss.stop) })
-	<-ss.execDone
-}
-
 // closeEngine releases the session's verifier. Called by the janitor (GC)
-// and by Server.Close, after the session has left the table and its
-// executor has drained.
+// and by Server.Close, after the session has left the table with no read
+// loop attached — so with an empty queue (see Server.sweep).
 func (ss *session) closeEngine() {
 	if ss.ver != nil {
 		ss.ver.Close()
