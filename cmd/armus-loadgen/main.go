@@ -54,6 +54,7 @@ import (
 	"armus/internal/client"
 	"armus/internal/core"
 	"armus/internal/deps"
+	"armus/internal/obs"
 	"armus/internal/sim"
 	"armus/internal/trace"
 	"armus/internal/trace/replay"
@@ -143,7 +144,7 @@ func main() {
 
 	type result struct {
 		events, mutations, rejections, checkpoints int
-		lat, check                                 client.LatencyHist
+		lat, check                                 obs.HistSnapshot
 		elapsed                                    time.Duration
 		err                                        error
 	}
@@ -193,8 +194,8 @@ func main() {
 						r.mutations += st.Mutations
 						r.rejections += st.Rejections
 						r.checkpoints += st.Checkpoints
-						r.lat.Merge(&st.Gate)
-						r.check.Merge(&st.Check)
+						r.lat = r.lat.Merge(st.Gate.Snapshot())
+						r.check = r.check.Merge(st.Check.Snapshot())
 					}
 					cerr := c.Close()
 					if err != nil {
@@ -213,7 +214,7 @@ func main() {
 	elapsed := time.Since(start)
 
 	var events, mutations, rejections, checkpoints int
-	var lat, check client.LatencyHist
+	var lat, check obs.HistSnapshot
 	var rate, gateP50, gateP99, checkP50, checkP99 spread
 	failed := false
 	for i := range results {
@@ -226,27 +227,27 @@ func main() {
 		mutations += r.mutations
 		rejections += r.rejections
 		checkpoints += r.checkpoints
-		lat.Merge(&r.lat)
-		check.Merge(&r.check)
+		lat = lat.Merge(r.lat)
+		check = check.Merge(r.check)
 		rate = append(rate, float64(r.events)/r.elapsed.Seconds())
-		if r.lat.Count() > 0 {
+		if r.lat.Count > 0 {
 			gateP50 = append(gateP50, us(r.lat.Percentile(50)))
 			gateP99 = append(gateP99, us(r.lat.Percentile(99)))
 		}
-		if r.check.Count() > 0 {
+		if r.check.Count > 0 {
 			checkP50 = append(checkP50, us(r.check.Percentile(50)))
 			checkP99 = append(checkP99, us(r.check.Percentile(99)))
 		}
 	}
 	fmt.Printf("armus-loadgen: %d events (%d mutations, %d checkpoints, %d gate rejections) in %v = %.0f events/s\n",
 		events, mutations, checkpoints, rejections, elapsed, float64(events)/elapsed.Seconds())
-	if lat.Count() > 0 {
+	if lat.Count > 0 {
 		fmt.Printf("armus-loadgen: gate latency p50=%v p99=%v max=%v over %d round trips\n",
-			lat.Percentile(50), lat.Percentile(99), lat.Max(), lat.Count())
+			time.Duration(lat.Percentile(50)), time.Duration(lat.Percentile(99)), time.Duration(lat.Max), lat.Count)
 	}
-	if check.Count() > 0 {
+	if check.Count > 0 {
 		fmt.Printf("armus-loadgen: checkpoint latency p50=%v p99=%v max=%v over %d round trips\n",
-			check.Percentile(50), check.Percentile(99), check.Max(), check.Count())
+			time.Duration(check.Percentile(50)), time.Duration(check.Percentile(99)), time.Duration(check.Max), check.Count)
 	}
 	fmt.Printf("armus-loadgen: per client (min/median/max): events/s %s | gate p50 %s p99 %s µs | checkpoint p50 %s p99 %s µs\n",
 		rate, gateP50, gateP99, checkP50, checkP99)
@@ -375,4 +376,4 @@ func (s spread) String() string {
 	return fmt.Sprintf("%.0f/%.0f/%.0f", s[0], s[len(s)/2], s[len(s)-1])
 }
 
-func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+func us(ns int64) float64 { return float64(ns) / 1e3 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"armus/internal/core"
+	"armus/internal/obs"
 	"armus/internal/trace"
 	"armus/internal/trace/replay"
 )
@@ -38,11 +39,11 @@ type ReplayStats struct {
 	Checkpoints int
 	Verdicts    []bool
 	// Gate holds one round-trip time per gated Block (avoidance sessions
-	// only), as a fixed-bucket µs histogram: cheap enough to leave on
-	// under load, stable percentiles across samples.
-	Gate LatencyHist
+	// only), in nanoseconds: cheap enough to leave on under load, stable
+	// percentiles across samples.
+	Gate obs.Hist
 	// Check holds one round-trip time per checkpoint, in both modes.
-	Check LatencyHist
+	Check obs.Hist
 }
 
 // ReplayTrace streams a recorded trace through c's session and
@@ -77,7 +78,7 @@ func ReplayTrace(c *Client, tr *trace.Trace, o ReplayOptions) (*ReplayStats, err
 		}
 		start := time.Now()
 		got, err := c.Checkpoint()
-		st.Check.Observe(time.Since(start))
+		st.Check.Observe(int64(time.Since(start)))
 		if err != nil {
 			return err
 		}
@@ -121,7 +122,7 @@ func ReplayTrace(c *Client, tr *trace.Trace, o ReplayOptions) (*ReplayStats, err
 			expectReject := mirror.Gate(e.Status)
 			start := time.Now()
 			err := c.Block(e.Status)
-			st.Gate.Observe(time.Since(start))
+			st.Gate.Observe(int64(time.Since(start)))
 			var ge *GateError
 			rejected := errors.As(err, &ge)
 			if err != nil && !rejected {

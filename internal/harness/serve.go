@@ -7,6 +7,7 @@ import (
 
 	"armus/internal/client"
 	"armus/internal/core"
+	"armus/internal/obs"
 	"armus/internal/server"
 	"armus/internal/trace"
 	"armus/internal/workloads/npb"
@@ -19,6 +20,12 @@ var serveClientCounts = []int{1, 8, 64}
 // resolution of Dur.
 func microDur(d time.Duration) string {
 	return fmt.Sprintf("%.0fµs", float64(d)/float64(time.Microsecond))
+}
+
+// stageSnapshots copies the server's queue-wait, verify and flush
+// histograms, in that order.
+func stageSnapshots(m *server.Metrics) [3]obs.HistSnapshot {
+	return [3]obs.HistSnapshot{m.StageQueueWait.Snapshot(), m.StageVerify.Snapshot(), m.StageFlush.Snapshot()}
 }
 
 // RunServe benchmarks verification-as-a-service end to end: an in-process
@@ -60,12 +67,12 @@ func RunServe(o Options) (*Table, error) {
 	}
 	for _, n := range serveClientCounts {
 		var m Measurement
-		var lat client.LatencyHist
+		var lat obs.HistSnapshot
 		var submitted int
 		// Server-side stage attribution for this row: diff the cumulative
 		// stage histograms across the row's measured samples (warm-up
 		// included in `before` is excluded from the interval).
-		stageBase := srv.Metrics()
+		stageBase := stageSnapshots(srv.Metrics())
 		for s := 0; s <= o.Samples; s++ {
 			start := time.Now()
 			var wg sync.WaitGroup
@@ -100,7 +107,7 @@ func RunServe(o Options) (*Table, error) {
 			if s == 0 {
 				// Warm-up discarded (start-up methodology); re-anchor the
 				// stage interval so its observations are excluded too.
-				stageBase = srv.Metrics()
+				stageBase = stageSnapshots(srv.Metrics())
 				continue
 			}
 			m.Samples = append(m.Samples, elapsed)
@@ -109,22 +116,22 @@ func RunServe(o Options) (*Table, error) {
 			// histogram keeps them stable across samples (bucketing, not
 			// sample order, defines them).
 			for i := 0; i < n; i++ {
-				lat.Merge(&stats[i].Gate)
+				lat = lat.Merge(stats[i].Gate.Snapshot())
 			}
 		}
 		perSec := float64(submitted) / m.Mean().Seconds()
-		after := srv.Metrics()
-		qwait := after.StageQueueWait.Sub(stageBase.StageQueueWait)
-		verify := after.StageVerify.Sub(stageBase.StageVerify)
-		flush := after.StageFlush.Sub(stageBase.StageFlush)
+		stages := stageSnapshots(srv.Metrics())
+		qwait := stages[0].Sub(stageBase[0])
+		verify := stages[1].Sub(stageBase[1])
+		flush := stages[2].Sub(stageBase[2])
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", n),
 			fmt.Sprintf("%d", submitted),
 			Dur(m.Mean()), Dur(m.CI95()),
 			fmt.Sprintf("%.0f", perSec),
-			microDur(lat.Percentile(50)),
-			microDur(lat.Percentile(99)),
-			microDur(lat.Percentile(99.9)),
+			microDur(time.Duration(lat.Percentile(50))),
+			microDur(time.Duration(lat.Percentile(99))),
+			microDur(time.Duration(lat.Percentile(99.9))),
 			microDur(time.Duration(qwait.Percentile(99))),
 			microDur(time.Duration(verify.Percentile(99))),
 			microDur(time.Duration(flush.Percentile(99))),

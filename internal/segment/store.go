@@ -43,23 +43,23 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// MetricsSnapshot is a point-in-time copy of the Store counters,
-// exported on the server's /metrics as armus_serve_segment_*.
-type MetricsSnapshot struct {
-	Batches           int64 // batches accepted onto the tee queue
-	BatchesDropped    int64 // batches dropped on a full queue
-	Events            int64 // events accepted
-	BytesWritten      int64 // compressed bytes written to segment files
-	Sealed            int64 // segments sealed
-	Errors            int64 // write/seal/scan errors (incl. quarantines)
-	ActiveWriters     int64 // sessions with an open writer (gauge)
-	RetainedSegments  int64 // segments deleted by retention
-	RetainedBytes     int64 // bytes reclaimed by retention
-	VerdictsArchived  int64 // verdict events archived
-	SessionsQuiesced  int64 // writers sealed for idleness or session GC
-	QuarantinedFiles  int64 // files quarantined (crash leftovers, corrupt)
-	RetentionSweeps   int64 // sweep passes completed
-	OldestSealedNanos int64 // seal time of the oldest retained segment (gauge)
+// Metrics are the Store's counters, declared once and served on the
+// server's /metrics as armus_serve_segment_* (obs.Registry).
+type Metrics struct {
+	Batches           atomic.Int64 `metric:"armus_serve_segment_batches_total,counter,Event batches accepted by the segment tee."`
+	BatchesDropped    atomic.Int64 `metric:"armus_serve_segment_batches_dropped_total,counter,Tee batches dropped on a full archive queue."`
+	Events            atomic.Int64 `metric:"armus_serve_segment_events_total,counter,Events archived into trace segments."`
+	VerdictsArchived  atomic.Int64 `metric:"armus_serve_segment_verdicts_total,counter,Verdict events archived (checkpoints, rejections, reports)."`
+	BytesWritten      atomic.Int64 `metric:"armus_serve_segment_bytes_written_total,counter,Compressed bytes written to segment files."`
+	Sealed            atomic.Int64 `metric:"armus_serve_segment_sealed_total,counter,Segments sealed (rotation, idle age, session GC, shutdown)."`
+	ActiveWriters     atomic.Int64 `metric:"armus_serve_segment_active_writers,gauge,Sessions with an open (active) segment writer."`
+	Errors            atomic.Int64 `metric:"armus_serve_segment_errors_total,counter,Segment write, seal or scan failures."`
+	QuarantinedFiles  atomic.Int64 `metric:"armus_serve_segment_quarantined_total,counter,Segment files quarantined (corrupt or crash leftovers)."`
+	SessionsQuiesced  atomic.Int64 `metric:"armus_serve_segment_sessions_quiesced_total,counter,Segment writers sealed for idleness or session GC."`
+	RetainedSegments  atomic.Int64 `metric:"armus_serve_segment_retention_segments_total,counter,Segments reclaimed by the retention manager."`
+	RetainedBytes     atomic.Int64 `metric:"armus_serve_segment_retention_bytes_total,counter,Bytes reclaimed by the retention manager."`
+	RetentionSweeps   atomic.Int64 `metric:"armus_serve_segment_retention_sweeps_total,counter,Retention/idle-seal sweep passes completed."`
+	OldestSealedNanos atomic.Int64 `metric:"armus_serve_segment_oldest_sealed_nanos,gauge,Seal time (UnixNano) of the oldest retained segment."`
 }
 
 // Batch is one tee unit: a run of pre-framed events for one session.
@@ -96,20 +96,8 @@ type Store struct {
 	done chan struct{}
 	pool sync.Pool
 
-	batches          atomic.Int64
-	batchesDropped   atomic.Int64
-	events           atomic.Int64
-	bytesWritten     atomic.Int64
-	sealed           atomic.Int64
-	errors           atomic.Int64
-	activeWriters    atomic.Int64
-	retainedSegments atomic.Int64
-	retainedBytes    atomic.Int64
-	verdicts         atomic.Int64
-	quiesced         atomic.Int64
-	quarantined      atomic.Int64
-	sweeps           atomic.Int64
-	oldestSealed     atomic.Int64
+	// Metrics counts what the Store does; read it at any time.
+	Metrics Metrics
 
 	// goroutine-owned state
 	// fl is the DEFLATE compressor shared by every session's writer: a
@@ -181,7 +169,7 @@ func NewStore(cfg Config) (*Store, error) {
 			// never queryable. Quarantine it.
 			p := filepath.Join(cfg.Dir, name)
 			if os.Rename(p, p+".quarantined") == nil {
-				st.quarantined.Add(1)
+				st.Metrics.QuarantinedFiles.Add(1)
 			}
 		}
 	}
@@ -204,12 +192,12 @@ func (st *Store) NewBatch() *Batch {
 func (st *Store) Append(b *Batch) bool {
 	select {
 	case st.ch <- b:
-		st.batches.Add(1)
-		st.events.Add(int64(b.Events))
-		st.verdicts.Add(int64(len(b.Verdicts)))
+		st.Metrics.Batches.Add(1)
+		st.Metrics.Events.Add(int64(b.Events))
+		st.Metrics.VerdictsArchived.Add(int64(len(b.Verdicts)))
 		return true
 	default:
-		st.batchesDropped.Add(1)
+		st.Metrics.BatchesDropped.Add(1)
 		st.pool.Put(b)
 		return false
 	}
@@ -240,26 +228,6 @@ func (st *Store) SealSession(session string) {
 func (st *Store) Close() {
 	close(st.ch)
 	<-st.done
-}
-
-// Metrics returns a snapshot of the counters.
-func (st *Store) Metrics() MetricsSnapshot {
-	return MetricsSnapshot{
-		Batches:           st.batches.Load(),
-		BatchesDropped:    st.batchesDropped.Load(),
-		Events:            st.events.Load(),
-		BytesWritten:      st.bytesWritten.Load(),
-		Sealed:            st.sealed.Load(),
-		Errors:            st.errors.Load(),
-		ActiveWriters:     st.activeWriters.Load(),
-		RetainedSegments:  st.retainedSegments.Load(),
-		RetainedBytes:     st.retainedBytes.Load(),
-		VerdictsArchived:  st.verdicts.Load(),
-		SessionsQuiesced:  st.quiesced.Load(),
-		QuarantinedFiles:  st.quarantined.Load(),
-		RetentionSweeps:   st.sweeps.Load(),
-		OldestSealedNanos: st.oldestSealed.Load(),
-	}
 }
 
 func (st *Store) run() {
@@ -296,7 +264,7 @@ func (st *Store) handle(b *Batch) {
 	if b.seal {
 		if w, ok := st.writers[b.Session]; ok {
 			st.sealWriter(b.Session, w, now)
-			st.quiesced.Add(1)
+			st.Metrics.SessionsQuiesced.Add(1)
 		}
 		return
 	}
@@ -306,29 +274,29 @@ func (st *Store) handle(b *Batch) {
 		w, err = NewWriter(WriterConfig{
 			Dir: st.cfg.Dir, Session: b.Session, Mode: b.Mode,
 			MaxBytes: st.cfg.MaxBytes, MaxAge: st.cfg.MaxAge, BlockBytes: st.cfg.BlockBytes,
-			OnWrite:  func(n int) { st.bytesWritten.Add(int64(n)) },
+			OnWrite:  func(n int) { st.Metrics.BytesWritten.Add(int64(n)) },
 			OnSealed: st.onSealed,
 			Flate:    st.fl,
 			StartSeq: st.seqs[EscapeSession(b.Session)],
 			NoScan:   true,
 		})
 		if err != nil {
-			st.errors.Add(1)
+			st.Metrics.Errors.Add(1)
 			st.cfg.Logf("segment: open writer for %q: %v", b.Session, err)
 			return
 		}
 		st.writers[b.Session] = w
-		st.activeWriters.Store(int64(len(st.writers)))
+		st.Metrics.ActiveWriters.Store(int64(len(st.writers)))
 	}
 	if err := w.Append(b.Frames, b.Events, b.Verdicts, now); err != nil {
-		st.errors.Add(1)
-		st.quarantined.Add(1)
+		st.Metrics.Errors.Add(1)
+		st.Metrics.QuarantinedFiles.Add(1)
 		st.cfg.Logf("segment: append for %q: %v", b.Session, err)
 	}
 }
 
 func (st *Store) onSealed(path string, idx *Index) {
-	st.sealed.Add(1)
+	st.Metrics.Sealed.Add(1)
 	if fi, err := os.Stat(path); err == nil {
 		st.retCache[path] = retInfo{size: fi.Size(), sealed: idx.SealedUnixNano}
 	}
@@ -337,12 +305,12 @@ func (st *Store) onSealed(path string, idx *Index) {
 func (st *Store) sealWriter(session string, w *Writer, now time.Time) {
 	st.seqs[EscapeSession(session)] = w.Seq()
 	if err := w.Seal(now); err != nil {
-		st.errors.Add(1)
-		st.quarantined.Add(1)
+		st.Metrics.Errors.Add(1)
+		st.Metrics.QuarantinedFiles.Add(1)
 		st.cfg.Logf("segment: seal %q: %v", session, err)
 	}
 	delete(st.writers, session)
-	st.activeWriters.Store(int64(len(st.writers)))
+	st.Metrics.ActiveWriters.Store(int64(len(st.writers)))
 }
 
 // sweep seals idle writers and enforces the retention policies. Runs on
@@ -357,11 +325,11 @@ func (st *Store) sweep() {
 	for session, w := range st.writers {
 		if w.Active() && now.Sub(w.LastAppend()) >= maxAge {
 			st.sealWriter(session, w, now)
-			st.quiesced.Add(1)
+			st.Metrics.SessionsQuiesced.Add(1)
 		}
 	}
 	st.retain(now)
-	st.sweeps.Add(1)
+	st.Metrics.RetentionSweeps.Add(1)
 }
 
 // retain deletes sealed segments oldest-first until both retention
@@ -374,7 +342,7 @@ func (st *Store) retain(now time.Time) {
 	}
 	entries, err := os.ReadDir(st.cfg.Dir)
 	if err != nil {
-		st.errors.Add(1)
+		st.Metrics.Errors.Add(1)
 		st.cfg.Logf("segment: retention scan: %v", err)
 		return
 	}
@@ -407,8 +375,8 @@ func (st *Store) retain(now time.Time) {
 				} else {
 					// Unreadable sealed segment: quarantine so queries and
 					// future sweeps stop re-parsing it.
-					st.errors.Add(1)
-					st.quarantined.Add(1)
+					st.Metrics.Errors.Add(1)
+					st.Metrics.QuarantinedFiles.Add(1)
 					st.cfg.Logf("segment: retention: %v", err)
 					if os.Rename(path, path+".quarantined") == nil {
 						delete(st.retCache, path)
@@ -440,18 +408,18 @@ func (st *Store) retain(now time.Time) {
 			break
 		}
 		if err := os.Remove(c.path); err != nil {
-			st.errors.Add(1)
+			st.Metrics.Errors.Add(1)
 			st.cfg.Logf("segment: retention remove %s: %v", filepath.Base(c.path), err)
 			continue
 		}
 		delete(st.retCache, c.path)
 		total -= c.size
-		st.retainedSegments.Add(1)
-		st.retainedBytes.Add(c.size)
+		st.Metrics.RetainedSegments.Add(1)
+		st.Metrics.RetainedBytes.Add(c.size)
 		st.cfg.Logf("segment: retention reclaimed %s (%d bytes)", filepath.Base(c.path), c.size)
 		if i == len(cands)-1 {
 			oldest = 0
 		}
 	}
-	st.oldestSealed.Store(oldest)
+	st.Metrics.OldestSealedNanos.Store(oldest)
 }

@@ -74,8 +74,7 @@ func (s *Server) handleDebugSessions(w http.ResponseWriter, r *http.Request) {
 		},
 		Sessions: []debugSession{},
 	}
-	snap := s.Metrics()
-	reply.UptimeSeconds = snap.UptimeSeconds
+	reply.UptimeSeconds = s.uptimeSeconds()
 	s.mu.Lock()
 	reply.Draining = s.draining || s.closed
 	s.mu.Unlock()

@@ -482,7 +482,7 @@ func TestCrashGCResumeExecutorLifecycle(t *testing.T) {
 
 	// Crash. The connection goes; session and executor stay.
 	nc.Close()
-	waitFor(t, func() bool { return s.Metrics().ConnsOpen == 0 })
+	waitFor(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
 	fc.Tick() // idle 1 of 2
 
 	// Reconnect inside the lease: same session, and it still serves gate
@@ -499,12 +499,12 @@ func TestCrashGCResumeExecutorLifecycle(t *testing.T) {
 	// Crash again and let the lease run out: the janitor collects the
 	// session.
 	nc2.Close()
-	waitFor(t, func() bool { return s.Metrics().ConnsOpen == 0 })
-	for i := 0; i < 10 && s.Metrics().SessionsGCed == 0; i++ {
+	waitFor(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
+	for i := 0; i < 10 && s.Metrics().SessionsGCed.Load() == 0; i++ {
 		fc.Tick()
 	}
-	if m := s.Metrics(); m.SessionsGCed != 1 || m.SessionsOpen != 0 {
-		t.Fatalf("session not collected after lease: %+v", m)
+	if m := s.Metrics(); m.SessionsGCed.Load() != 1 || m.SessionsOpen.Load() != 0 {
+		t.Fatalf("session not collected after lease: %d GCed, %d open", m.SessionsGCed.Load(), m.SessionsOpen.Load())
 	}
 
 	// A fresh attach is a new session, fully live.
@@ -579,14 +579,14 @@ func TestConcurrentSessionsParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := s.Metrics()
-	if m.SlowDisconnects != 0 || m.MalformedConns != 0 {
-		t.Fatalf("parity wall tripped failure paths: %+v", m)
+	if m.SlowDisconnects.Load() != 0 || m.MalformedConns.Load() != 0 {
+		t.Fatalf("parity wall tripped failure paths: %d slow, %d malformed", m.SlowDisconnects.Load(), m.MalformedConns.Load())
 	}
 	// One connection per session: its read loop executes every batch.
-	if m.ExecHandoffs != 0 {
-		t.Fatalf("handoffs = %d in single-connection sessions, want 0", m.ExecHandoffs)
+	if m.ExecHandoffs.Load() != 0 {
+		t.Fatalf("handoffs = %d in single-connection sessions, want 0", m.ExecHandoffs.Load())
 	}
-	if m.Batches < int64(sessions) {
-		t.Fatalf("batches = %d, want >= %d", m.Batches, sessions)
+	if m.Batches.Load() < int64(sessions) {
+		t.Fatalf("batches = %d, want >= %d", m.Batches.Load(), sessions)
 	}
 }

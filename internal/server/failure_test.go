@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -60,16 +61,16 @@ func TestClientCrashSessionGC(t *testing.T) {
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return s.Metrics().Events >= 1 })
+	waitFor(t, func() bool { return s.Metrics().Events.Load() >= 1 })
 
 	// Crash: abrupt close, no footer. The connection goes, the session
 	// stays.
 	nc.Close()
-	waitFor(t, func() bool { return s.Metrics().ConnsOpen == 0 })
+	waitFor(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
 	fc.Tick() // sweep 1: idle 1 of 3
 	fc.Tick() // sweep 2 begins; GC cannot have happened yet
-	if m := s.Metrics(); m.SessionsOpen != 1 || m.SessionsGCed != 0 {
-		t.Fatalf("session collected before lease: %+v", m)
+	if m := s.Metrics(); m.SessionsOpen.Load() != 1 || m.SessionsGCed.Load() != 0 {
+		t.Fatalf("session collected before lease: %d open, %d GCed", m.SessionsOpen.Load(), m.SessionsGCed.Load())
 	}
 
 	// A reconnect inside the lease resumes the session (and resets the
@@ -79,14 +80,14 @@ func TestClientCrashSessionGC(t *testing.T) {
 		t.Fatal("reconnect within lease did not resume the session")
 	}
 	nc2.Close()
-	waitFor(t, func() bool { return s.Metrics().ConnsOpen == 0 })
+	waitFor(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
 
 	// Now let the lease run out: the janitor collects the session.
-	for i := 0; i < 10 && s.Metrics().SessionsGCed == 0; i++ {
+	for i := 0; i < 10 && s.Metrics().SessionsGCed.Load() == 0; i++ {
 		fc.Tick()
 	}
-	if m := s.Metrics(); m.SessionsGCed != 1 || m.SessionsOpen != 0 {
-		t.Fatalf("session not collected after lease: %+v", m)
+	if m := s.Metrics(); m.SessionsGCed.Load() != 1 || m.SessionsOpen.Load() != 0 {
+		t.Fatalf("session not collected after lease: %d GCed, %d open", m.SessionsGCed.Load(), m.SessionsOpen.Load())
 	}
 
 	// A fresh attach under the same name is a brand-new session.
@@ -126,8 +127,8 @@ func TestMalformedFrameRejected(t *testing.T) {
 	nc2.Write([]byte("GET / HTTP/1.1\r\n\r\n"))
 	nc2.Close()
 
-	waitFor(t, func() bool { return s.Metrics().MalformedConns >= 2 })
-	waitFor(t, func() bool { return s.Metrics().ConnsOpen == 0 })
+	waitFor(t, func() bool { return s.Metrics().MalformedConns.Load() >= 2 })
+	waitFor(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
 	// The server is unharmed: a well-behaved client still gets service.
 	c := dialTest(t, s, client.Config{Session: "fine", Mode: core.ModeDetect})
 	if d, err := c.Checkpoint(); err != nil || d {
@@ -219,20 +220,39 @@ func TestSlowConsumerThroughReadLoop(t *testing.T) {
 		}
 	}()
 	deadline := time.Now().Add(20 * time.Second)
-	for s.Metrics().SlowDisconnects == 0 {
+	for s.Metrics().SlowDisconnects.Load() == 0 {
 		if time.Now().After(deadline) {
-			m := s.Metrics()
 			t.Fatalf("never-reading client not disconnected within 20s (rejected %d, queue depth %d)",
-				m.GateRejected, m.QueueDepth)
+				s.Metrics().GateRejected.Load(), s.queueDepth())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	// ConnsOpen drops only after the read loop returned and the writer
 	// exited (handleConn waits for it).
-	waitFor(t, func() bool { return s.Metrics().ConnsOpen == 0 && s.activeConns() == 0 })
-	if got := s.Metrics().SlowDisconnects; got != 1 {
+	waitFor(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 && s.activeConns() == 0 })
+	if got := s.Metrics().SlowDisconnects.Load(); got != 1 {
 		t.Fatalf("slow disconnects = %d, want 1", got)
 	}
+}
+
+// TestBatchOverQueueRejected: one batch buffers up to MaxBatch answers on
+// its connection, so a MaxBatch above QueueLen would disconnect a client
+// that reads; New refuses that configuration, defaults included.
+func TestBatchOverQueueRejected(t *testing.T) {
+	for _, cfg := range []Config{
+		{MaxBatch: 512, QueueLen: 256},
+		{MaxBatch: 512}, // default QueueLen 256
+		{QueueLen: 64},  // default MaxBatch 256
+	} {
+		cfg.Addr = "127.0.0.1:0"
+		if s, err := New(cfg); err == nil || !strings.Contains(err.Error(), "exceeds QueueLen") {
+			if s != nil {
+				s.Close()
+			}
+			t.Errorf("New(MaxBatch %d, QueueLen %d) = %v, want an exceeds-QueueLen error", cfg.MaxBatch, cfg.QueueLen, err)
+		}
+	}
+	testServer(t, Config{MaxBatch: 64, QueueLen: 64}) // equal is fine
 }
 
 // TestManyClientsSmoke hammers one server with concurrent clients across
@@ -301,10 +321,10 @@ func TestManyClientsSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := s.Metrics()
-	if m.MalformedConns != 0 || m.SlowDisconnects != 0 {
-		t.Fatalf("smoke run tripped failure paths: %+v", m)
+	if m.MalformedConns.Load() != 0 || m.SlowDisconnects.Load() != 0 {
+		t.Fatalf("smoke run tripped failure paths: %d malformed, %d slow", m.MalformedConns.Load(), m.SlowDisconnects.Load())
 	}
-	if m.Events < clients*rounds*8 {
-		t.Fatalf("events ingested = %d, want >= %d", m.Events, clients*rounds*8)
+	if m.Events.Load() < clients*rounds*8 {
+		t.Fatalf("events ingested = %d, want >= %d", m.Events.Load(), clients*rounds*8)
 	}
 }

@@ -25,7 +25,8 @@ import (
 func TestStageSumsConsistentWithRTT(t *testing.T) {
 	const gates = 200
 	s := testServer(t, Config{})
-	base := s.Metrics()
+	m := s.Metrics()
+	baseQW, baseVF, baseFL := m.StageQueueWait.Snapshot(), m.StageVerify.Snapshot(), m.StageFlush.Snapshot()
 
 	start := time.Now()
 	c := dialTest(t, s, client.Config{Session: "stages", Mode: core.ModeAvoid})
@@ -41,13 +42,12 @@ func TestStageSumsConsistentWithRTT(t *testing.T) {
 	}
 	// The connection deregisters only after its writer's final flush, so
 	// once the gauge drops every stage observation has landed.
-	waitFor(t, func() bool { return s.Metrics().ConnsOpen == 0 })
+	waitFor(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
 	window := time.Since(start)
 
-	after := s.Metrics()
-	qw := after.StageQueueWait.Sub(base.StageQueueWait)
-	vf := after.StageVerify.Sub(base.StageVerify)
-	fl := after.StageFlush.Sub(base.StageFlush)
+	qw := m.StageQueueWait.Snapshot().Sub(baseQW)
+	vf := m.StageVerify.Snapshot().Sub(baseVF)
+	fl := m.StageFlush.Snapshot().Sub(baseFL)
 
 	// Queue-wait and verify are observed per processed batch, in the same
 	// place: their counts agree exactly, and a sequential client means one

@@ -41,9 +41,9 @@ func TestSegmentArchiveEndToEnd(t *testing.T) {
 	}
 	cd.Close()
 
-	snap := s.Metrics()
-	if snap.Segment.Events == 0 || snap.Segment.Batches == 0 {
-		t.Fatalf("tee archived nothing: %+v", snap.Segment)
+	seg := s.Metrics().Segment
+	if seg.Events.Load() == 0 || seg.Batches.Load() == 0 {
+		t.Fatalf("tee archived nothing: %d events in %d batches", seg.Events.Load(), seg.Batches.Load())
 	}
 	s.Close() // seals every active segment
 

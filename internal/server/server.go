@@ -80,7 +80,8 @@ type Config struct {
 	// Addr is the TCP listen address, e.g. "127.0.0.1:7777" or ":0".
 	Addr string
 	// MaxBatch is the most events one read loop decodes into a batch
-	// before handing it to the session executor (default 256).
+	// before handing it to the session executor (default 256). It must not
+	// exceed QueueLen.
 	MaxBatch int
 	// QueueLen bounds a connection's undelivered responses (the coalesce
 	// buffer, counted in responses; default 256); a connection exceeding
@@ -247,6 +248,15 @@ type Server struct {
 // Close (immediate) when done.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	// Every event of a batch answers at most once on its own connection (a
+	// gate or a checkpoint verdict), and a deadlock report needs a block in
+	// the batch that raises it, so one batch buffers at most MaxBatch
+	// responses there. A batch larger than QueueLen could therefore trip
+	// the slow-consumer bound on a client that is reading.
+	if cfg.MaxBatch > cfg.QueueLen {
+		return nil, fmt.Errorf("server: MaxBatch %d exceeds QueueLen %d: one batch's answers would disconnect a client that is still reading",
+			cfg.MaxBatch, cfg.QueueLen)
+	}
 	var shardMap *fleet.Map
 	if len(cfg.Fleet) > 0 {
 		var err error
@@ -271,6 +281,7 @@ func New(cfg Config) (*Server, error) {
 	for i := range s.shards {
 		s.shards[i].m = make(map[string]*session)
 	}
+	s.m.Segment = new(segment.Metrics)
 	if cfg.SegmentDir != "" {
 		seg, err := segment.NewStore(segment.Config{
 			Dir:         cfg.SegmentDir,
@@ -286,6 +297,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.seg = seg
+		s.m.Segment = &seg.Metrics
 	}
 	if cfg.StoreAddr != "" {
 		s.db = store.Dial(cfg.StoreAddr)
